@@ -198,32 +198,24 @@ class DominanceArchive:
 
     def __init__(
         self,
-        symmetric: bool,
+        groups: Sequence[int],
         dominance_tolerance: float = 0.0,
         archive_limit: int = 64,
-        groups: Optional[Sequence[int]] = None,
     ) -> None:
-        self.symmetric = symmetric
         self.dominance_tolerance = dominance_tolerance
         self.archive_limit = archive_limit
-        #: Optional per-battery symmetry-group ids (see
-        #: :func:`parameter_symmetry_groups`).  When given, signatures are
-        #: canonicalized per group and dominance checks enumerate the
-        #: within-group permutation products, superseding the all-or-nothing
-        #: ``symmetric`` flag (kept for the legacy two-state construction).
-        self.groups: Optional[Tuple[int, ...]] = (
-            tuple(groups) if groups is not None else None
+        #: Per-battery symmetry-group ids (see
+        #: :func:`parameter_symmetry_groups`): signatures are canonicalized
+        #: per group and dominance checks enumerate the within-group
+        #: permutation products.
+        self.groups: Tuple[int, ...] = tuple(groups)
+        members: dict = {}
+        for index, group in enumerate(self.groups):
+            members.setdefault(group, []).append(index)
+        self._group_members = tuple(
+            tuple(indices) for indices in members.values() if len(indices) > 1
         )
-        self._group_members: Tuple[Tuple[int, ...], ...] = ()
-        self._perms: List[Tuple[int, ...]] = []
-        if self.groups is not None:
-            members: dict = {}
-            for index, group in enumerate(self.groups):
-                members.setdefault(group, []).append(index)
-            self._group_members = tuple(
-                tuple(indices) for indices in members.values() if len(indices) > 1
-            )
-            self._perms = group_permutations(self.groups)
+        self._perms = group_permutations(self.groups)
         self._archives: dict = {}
 
     def _vector_dominates(self, a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
@@ -244,45 +236,29 @@ class DominanceArchive:
         otherwise only the identity pairing.
         """
         n = len(a)
-        if self.groups is not None:
-            for permutation in self._perms:
-                if all(
-                    self._vector_dominates(a[permutation[i]], b[i]) for i in range(n)
-                ):
-                    return True
-            return False
-        if self.symmetric and n <= 3:
-            for permutation in itertools.permutations(range(n)):
-                if all(self._vector_dominates(a[permutation[i]], b[i]) for i in range(n)):
-                    return True
-            return False
-        return all(self._vector_dominates(a[i], b[i]) for i in range(n))
+        for permutation in self._perms:
+            if all(self._vector_dominates(a[permutation[i]], b[i]) for i in range(n)):
+                return True
+        return False
 
     def _canonical_signature(
         self, matrix: Tuple[Tuple[float, ...], ...]
     ) -> Tuple[Tuple[float, ...], ...]:
         """Quantized, permutation-canonical form of a dominance matrix.
 
-        Rows are sorted *within* each symmetry group (all rows, in the
-        legacy fully-symmetric mode), so assignment orders that only
-        permute identical batteries collapse to one signature.
+        Rows are sorted *within* each symmetry group, so assignment orders
+        that only permute identical batteries collapse to one signature.
         """
         scale = max(self.dominance_tolerance, 1e-9)
         quantized = tuple(
             tuple(round(value / scale) if value not in (float("inf"), float("-inf")) else value for value in vector)
             for vector in matrix
         )
-        if self.groups is not None:
-            canonical = list(quantized)
-            for members in self._group_members:
-                for slot, row in zip(
-                    members, sorted(quantized[index] for index in members)
-                ):
-                    canonical[slot] = row
-            return tuple(canonical)
-        if self.symmetric:
-            return tuple(sorted(quantized))
-        return quantized
+        canonical = list(quantized)
+        for members in self._group_members:
+            for slot, row in zip(members, sorted(quantized[index] for index in members)):
+                canonical[slot] = row
+        return tuple(canonical)
 
     def admit(self, key, matrix: Tuple[Tuple[float, ...], ...]) -> bool:
         """Record a state matrix at a decision point; False when dominated."""
@@ -417,10 +393,9 @@ class OptimalScheduler:
         self._nodes_expanded = 0
         self._complete = True
         self._archive = DominanceArchive(
-            symmetric=len(set(self._groups)) == 1,
+            self._groups,
             dominance_tolerance=dominance_tolerance,
             archive_limit=archive_limit,
-            groups=self._groups,
         )
         self._bound_cache: dict = {}
         self._job_table_cache: dict = {}

@@ -4,40 +4,52 @@
 :class:`repro.core.optimal.OptimalScheduler`.  The scalar search walks one
 decision node at a time, advancing each battery through Python calls; this
 search keeps a *frontier* of unexpanded decision nodes ordered by their
-admissible lifetime bound (best-first) and processes them in batches:
+admissible lifetime bound (best-first) and processes them in batches.
 
-* the deterministic between-decision battery advances -- serving the chosen
-  battery up to its empty crossing, idling the others, skipping idle epochs
-  -- run as ``(n_nodes, n_batteries, 2)`` NumPy kernels
-  (:mod:`repro.engine.kernels`) for the analytical model, and as the exact
-  integer event-jumping dKiBaM (:func:`discrete_segment_array`, the
-  lane-parallel form of :meth:`repro.kibam.discrete.DiscreteKibam.
-  run_segment`) for the discrete model;
+The search is one driver over two node kernels:
+
+* the driver (:class:`_SearchOps`) implements the search once -- branching
+  a popped batch into children in the scalar search's branch order,
+  advancing them through idle epochs to their next decision point,
+  bounding and parking them in the frontier pools, and the greedy
+  lower-bound probes;
+* a node kernel holds what differs between the battery models: the state
+  layout and the between-decision battery advance (serve the chosen
+  battery up to its empty crossing, idle the others).
+  :class:`_AnalyticalNodes` keeps ``(B, 2)`` float wells and steps them
+  with the closed-form ``(n_nodes, n_batteries, 2)`` kernels of
+  :mod:`repro.engine.kernels`, in minutes; :class:`_DiscreteNodes` keeps
+  ``(6, B)`` int64 dKiBaM counters and advances them with the exact
+  event-jumping :func:`discrete_segment_array` (the lane-parallel form of
+  :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`), in ticks.
+
+What the driver adds on top of the kernels:
+
 * the admissible remaining-lifetime upper bound (the perfect-pooling bound
   of the scalar search refined by the recovery-limited bound of
-  :mod:`repro.kibam.bounds`, or the total-charge fallback for batteries
-  that do not share ``c``/``k'``) is evaluated for a whole frontier batch
-  in one vectorized epoch walk, memoized on the same quantized keys as the
-  scalar search;
+  :mod:`repro.kibam.bounds` on the analytical model, or the total-charge
+  fallback for batteries that do not share ``c``/``k'``) is evaluated for a
+  whole frontier batch in one vectorized epoch walk, memoized on the same
+  quantized keys as the scalar search (:class:`_BoundEvaluator`);
 * the search also carries a cheap per-node *lower* bound -- the lifetime
   of the node's state under the fixed greedy completion, rolled out on the
-  same batch kernels -- probed periodically on popped batches; an
-  improving lower bound raises the incumbent (it is an achievable
-  schedule) and retroactively evicts every live frontier slot whose upper
-  bound it covers (free-listed immediately, heap entries invalidated
-  lazily via slot stamps);
-* dominance and symmetry pruning reuse the scalar search's
-  :class:`repro.core.optimal.DominanceArchive` unchanged, so the pruning
-  semantics (and therefore soundness) are shared, not re-derived.
+  same kernels -- probed periodically on popped batches; an improving
+  lower bound raises the incumbent (it is an achievable schedule) and
+  retroactively evicts every live frontier slot whose upper bound it
+  covers (free-listed immediately, heap entries invalidated lazily via
+  slot stamps);
+* dominance and symmetry pruning go through
+  :class:`VectorDominanceArchive`, the array-backed port of the scalar
+  search's :class:`repro.core.optimal.DominanceArchive`; a test pins the
+  two to identical admit/reject decisions.
 
 The frontier itself is stored structure-of-arrays (:class:`FrontierArrays`):
 preallocated, grow-by-doubling state/bookkeeping column pools with a
 free-list of recycled rows, plus an append-only :class:`DecisionTrace`
 encoding each node's assignment as ``(parent, choice)`` integers.  The heap
 orders integer *slots*, expansion gathers and scatters index slices of the
-column arrays, and no per-node Python state objects or per-child assignment
-tuples are built -- the former re-copying hot spot of the per-round node
-stacking.
+column arrays, and no per-node Python state objects or per-child
+assignment tuples are built.
 
 Searches can also be *seeded* with a neighboring problem's winning
 assignment (``seed_assignment``): the seed is replayed on the search's own
@@ -71,7 +83,6 @@ import numpy as np
 from repro.core.battery import make_battery_models
 from repro.core.optimal import (
     _BOUND_CACHE_LIMIT,
-    DominanceArchive,
     OptimalScheduleResult,
     OptimalScheduler,
     discrete_bound_slack_for,
@@ -124,22 +135,6 @@ _DOMINANCE_EPSILON = 1e-9
 _BIG = DISCRETE_UNREACHABLE
 
 
-def _resolve_groups(
-    groups: Optional[Sequence[int]], symmetric: bool, n_batteries: int
-) -> Tuple[int, ...]:
-    """Per-battery symmetry groups with the legacy-flag fallback.
-
-    When no explicit groups are given the all-or-nothing ``symmetric``
-    flag is honored: one shared group for identical batteries, singleton
-    groups otherwise.
-    """
-    if groups is not None:
-        return tuple(groups)
-    if symmetric:
-        return (0,) * n_batteries
-    return tuple(range(n_batteries))
-
-
 def _group_representatives(
     ordered: Sequence[int], groups: Sequence[int]
 ) -> List[int]:
@@ -175,56 +170,34 @@ class VectorDominanceArchive:
 
     def __init__(
         self,
-        symmetric: bool,
-        n_batteries: int,
+        groups: Sequence[int],
         dominance_tolerance: float = 0.0,
         archive_limit: int = 64,
-        groups: Optional[Sequence[int]] = None,
     ) -> None:
-        self.symmetric = symmetric
         self.archive_limit = archive_limit
         self._slack = _DOMINANCE_EPSILON + dominance_tolerance
         self._scale = max(dominance_tolerance, 1e-9)
-        #: Optional per-battery symmetry-group ids (see
-        #: :func:`repro.core.optimal.parameter_symmetry_groups`).  When
-        #: given they supersede the all-or-nothing ``symmetric`` flag:
+        #: Per-battery symmetry-group ids (see
+        #: :func:`repro.core.optimal.parameter_symmetry_groups`):
         #: signatures sort rows per group, dominance pairs via the
         #: within-group permutation products -- identical semantics to the
-        #: scalar archive's group mode.
-        self.groups: Optional[Tuple[int, ...]] = (
-            tuple(groups) if groups is not None else None
+        #: scalar archive.
+        self.groups: Tuple[int, ...] = tuple(groups)
+        members: dict = {}
+        for index, group in enumerate(self.groups):
+            members.setdefault(group, []).append(index)
+        self._group_members = tuple(
+            tuple(indices) for indices in members.values() if len(indices) > 1
         )
-        self._group_members: Tuple[Tuple[int, ...], ...] = ()
-        if self.groups is not None:
-            members: dict = {}
-            for index, group in enumerate(self.groups):
-                members.setdefault(group, []).append(index)
-            self._group_members = tuple(
-                tuple(indices) for indices in members.values() if len(indices) > 1
-            )
-            self._perms = np.array(
-                group_permutations(self.groups), dtype=np.int64
-            )
-        elif symmetric and n_batteries <= 3:
-            self._perms = np.array(
-                list(itertools.permutations(range(n_batteries))), dtype=np.int64
-            )
-        else:
-            self._perms = np.arange(n_batteries, dtype=np.int64)[None, :]
+        self._perms = np.array(group_permutations(self.groups), dtype=np.int64)
         self._entries: dict = {}
 
     def _signature(self, matrix: np.ndarray):
         quantized = np.where(np.isinf(matrix), matrix, np.round(matrix / self._scale))
         rows = [tuple(row) for row in quantized]
-        if self.groups is not None:
-            for members in self._group_members:
-                for slot, row in zip(
-                    members, sorted(rows[index] for index in members)
-                ):
-                    rows[slot] = row
-            return tuple(rows)
-        if self.symmetric:
-            rows.sort()
+        for members in self._group_members:
+            for slot, row in zip(members, sorted(rows[index] for index in members)):
+                rows[slot] = row
         return tuple(rows)
 
     def admit(self, key, matrix: np.ndarray) -> bool:
@@ -740,67 +713,314 @@ class _BoundEvaluator:
 
 
 # --------------------------------------------------------------------- #
-# analytical backend ops
+# node kernels: the per-model battery advance
 # --------------------------------------------------------------------- #
-class _AnalyticalOps:
-    """Vectorized node advances and bounds for the analytical KiBaM.
+def _epoch_arrays(load: Load) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-epoch ``(currents, durations)`` of a load, in A and minutes."""
+    currents = np.array([e.current for e in load.epochs], dtype=np.float64)
+    durations = np.array([e.duration for e in load.epochs], dtype=np.float64)
+    return currents, durations
 
-    Frontier nodes live in a :class:`FrontierArrays` pool (one float state
-    column plus scalar bookkeeping columns) and are addressed by slot;
-    children in flight between :meth:`branch` and :meth:`prepare` travel as
-    flat column dicts and only claim a pool slot once they survive the
-    bound prune.
+
+class _AnalyticalNodes:
+    """Analytical-KiBaM node states: ``(B, 2)`` float wells, time in minutes.
+
+    Each battery's row holds its total charge (``GAMMA``) and height
+    difference (``DELTA``); advances are the closed-form
+    :mod:`repro.engine.kernels` steps, and a served battery stops exactly
+    at its empty crossing.
+
+    A node kernel is everything the search driver (:class:`_SearchOps`)
+    needs to know about a battery model: the root state, the per-battery
+    ``(gamma, delta)`` charge, the alive test, the serve and idle advances
+    (in place on the given rows), the dominance matrices, the epoch span
+    table ``spans`` in the kernel's time unit, ``time_unit`` (minutes per
+    unit), the bound slack, and whether the recovery-limited bound applies.
     """
 
-    model = "analytical"
+    time_unit = 1.0
+    bound_slack = 0.0
+    recovery_limited = True
+
+    def __init__(self, params: Sequence[BatteryParameters], load: Load) -> None:
+        self.kp = KernelParams.from_parameters(params)
+        self.c = self.kp.c
+        self.n_batteries = len(params)
+        self.currents, self.spans = _epoch_arrays(load)
+
+    def root_state(self) -> np.ndarray:
+        state = np.zeros((1, self.n_batteries, 2), dtype=np.float64)
+        state[:, :, GAMMA] = self.kp.capacity
+        return state
+
+    def charge(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return state[:, :, GAMMA], state[:, :, DELTA]
+
+    def alive(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        margin = state[:, :, GAMMA] - (1.0 - self.c) * state[:, :, DELTA]
+        return (~dead) & (margin > _EMPTY_TOLERANCE)
+
+    def serve(self, state, dead, rows, choice, epoch, remaining):
+        """Serve each row's job on ``choice`` up to its crossing, idle the rest.
+
+        Updates ``state[rows]`` in place and returns ``(crossed, span)``.
+        """
+        cur = self.currents[epoch]
+        crossing, crossed = time_to_empty_array(
+            self.c[choice],
+            self.kp.k_prime[choice],
+            state[rows, choice, GAMMA],
+            state[rows, choice, DELTA],
+            cur,
+            remaining,
+        )
+        span = np.where(crossed, crossing, remaining)
+        battery_currents = np.zeros((rows.size, self.n_batteries))
+        battery_currents[np.arange(rows.size), choice] = cur
+        self._advance(state, dead, rows, battery_currents, span)
+        return crossed, span
+
+    def idle(self, state, dead, rows, span) -> None:
+        """Rest every battery of ``state[rows]`` for ``span``, in place."""
+        self._advance(
+            state, dead, rows, np.zeros((rows.size, self.n_batteries)), span
+        )
+
+    def _advance(self, state, dead, rows, battery_currents, span) -> None:
+        old = state[rows]
+        new = step_constant_current_array(
+            self.kp, old, battery_currents, span[:, None]
+        )
+        state[rows] = np.where(dead[rows][:, :, None], old, new)
+
+    def matrices(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
+        mat = np.empty((state.shape[0], self.n_batteries, 3))
+        mat[:, :, 0] = 1.0
+        mat[:, :, 1] = state[:, :, GAMMA]
+        mat[:, :, 2] = -state[:, :, DELTA]
+        empty_row = np.array([0.0, -np.inf, -np.inf])
+        return np.where(dead[:, :, None], empty_row, mat)
+
+
+class _DiscreteNodes:
+    """dKiBaM node states: ``(6, B)`` int64 counters, time in ticks.
+
+    Rows ``_N_ROW`` .. ``_RCT_ROW`` hold each battery's available and
+    height units, recovery counter, draw accumulator and last discharge
+    rate; every advance is an exact integer event jump
+    (:func:`discrete_segment_array`), written back lane by lane.  See
+    :class:`_AnalyticalNodes` for the kernel interface.
+    """
+
+    #: No recovery-limited refinement here: the chain-feasibility argument
+    #: holds for the continuous dynamics only, and dKiBaM tick rounding can
+    #: keep a marginal burst alive that the continuous threshold rules out
+    #: (see ``OptimalScheduler._recovery_limited_bound``).  The discrete
+    #: search keeps the slack-inflated pooling bound.
+    recovery_limited = False
 
     def __init__(
         self,
         params: Sequence[BatteryParameters],
         load: Load,
-        symmetric: bool,
-        groups: Optional[Sequence[int]] = None,
+        time_step: float,
+        charge_unit: float,
     ) -> None:
-        self.params = tuple(params)
-        self.kp = KernelParams.from_parameters(params)
         self.n_batteries = len(params)
-        self.symmetric = symmetric
-        self.groups = _resolve_groups(groups, symmetric, self.n_batteries)
-        epochs = load.epochs
-        self.currents = np.array([e.current for e in epochs], dtype=np.float64)
-        self.durations = np.array([e.duration for e in epochs], dtype=np.float64)
-        self.is_job = self.currents > 0.0
-        self.n_epochs = len(epochs)
+        self.time_unit = time_step
+        self.charge_unit = charge_unit
+        # The analytical pooling bound gets the scalar search's
+        # discretization-aware safety margin when pruning dKiBaM searches.
+        self.bound_slack = discrete_bound_slack_for(time_step, charge_unit)
+        dp = KernelParams.from_parameters(params).discretize(time_step, charge_unit)
+        self.total_units = dp.total_units
+        self.cp = dp.c_permille
+        self.q = 1000 - self.cp
+        self.tables = dp.tables
+        self.trow = dp.table_id
+        self.c = dp.c
+        self.height_unit = dp.height_unit
+        specs = [
+            discharge_spec_for(e.current, time_step, charge_unit) for e in load.epochs
+        ]
+        self.e_cur = np.array([spec.cur for spec in specs], dtype=np.int64)
+        self.e_ct = np.array([spec.cur_times for spec in specs], dtype=np.int64)
+        self.spans = np.array(
+            [duration_ticks(e.duration, time_step) for e in load.epochs],
+            dtype=np.int64,
+        )
+
+    def root_state(self) -> np.ndarray:
+        state = np.zeros((1, 6, self.n_batteries), dtype=np.int64)
+        state[:, _N_ROW] = self.total_units
+        state[:, _RCT_ROW] = 1
+        return state
+
+    def charge(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            state[:, _N_ROW, :] * self.charge_unit,
+            state[:, _M_ROW, :] * self.height_unit,
+        )
+
+    def alive(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        crit = self.q * state[:, _M_ROW, :] >= self.cp * state[:, _N_ROW, :]
+        return (~dead) & (~crit)
+
+    def serve(self, state, dead, rows, choice, epoch, remaining):
+        """Serve each row's job on ``choice`` up to its crossing, idle the rest.
+
+        Updates ``state[rows]`` in place and returns ``(crossed, span)``.
+        """
+        lanes, empty_tick = self._segment(
+            state[rows, :, choice],
+            choice,
+            self.e_cur[epoch],
+            self.e_ct[epoch],
+            remaining,
+        )
+        crossed = empty_tick >= 0
+        span = np.where(crossed, empty_tick, remaining)
+        state[rows, :, choice] = lanes
+        others = ~dead[rows]
+        others[np.arange(rows.size), choice] = False
+        self._idle_lanes(state, rows, others, span)
+        return crossed, span
+
+    def idle(self, state, dead, rows, span) -> None:
+        """Rest every battery of ``state[rows]`` for ``span`` ticks, in place."""
+        self._idle_lanes(state, rows, ~dead[rows], span)
+
+    def _idle_lanes(self, state, rows, lanes, span) -> None:
+        """Rest the ``lanes`` mask of ``state[rows]``, one segment lane each."""
+        node, battery = np.nonzero(lanes)
+        if node.size:
+            sub = rows[node]
+            state[sub, :, battery], _ = self._segment(
+                state[sub, :, battery],
+                battery,
+                np.zeros(node.size, dtype=np.int64),
+                np.ones(node.size, dtype=np.int64),
+                span[node],
+            )
+
+    def _segment(self, lanes, battery, cur, cur_times, ticks):
+        """Run ``(L, 6)`` counter lanes of ``battery`` through one segment."""
+        *counters, empty_tick = discrete_segment_array(
+            self.tables,
+            self.trow[battery],
+            self.cp[battery],
+            *lanes.T,
+            cur,
+            cur_times,
+            ticks,
+        )
+        return np.stack(counters, axis=1), empty_tick
+
+    def matrices(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
+        mat = np.empty((state.shape[0], self.n_batteries, 5))
+        mat[:, :, 0] = 1.0
+        mat[:, :, 1] = state[:, _N_ROW, :]
+        mat[:, :, 2] = -state[:, _M_ROW, :]
+        mat[:, :, 3] = -state[:, _ACC_ROW, :]
+        mat[:, :, 4] = state[:, _REC_ROW, :]
+        empty_row = np.full(5, -np.inf)
+        empty_row[0] = 0.0
+        return np.where(dead[:, :, None], empty_row, mat)
+
+
+# --------------------------------------------------------------------- #
+# the search driver over one node kernel
+# --------------------------------------------------------------------- #
+#: Frontier pool columns; in-flight node batches are dicts of the same
+#: columns.  ``dead`` marks batteries observed empty (they never recover),
+#: ``offset`` and ``time`` count in the node kernel's time unit.
+_COLUMNS = ("state", "dead", "epoch", "offset", "time", "trace")
+
+
+class _SearchOps:
+    """Batched expansion, preparation and greedy probes over a node kernel.
+
+    Frontier nodes live in a :class:`FrontierArrays` pool and are addressed
+    by slot; children in flight between :meth:`branch` and :meth:`prepare`
+    travel as column dicts and only claim a pool slot once they survive
+    the bound prune.
+    """
+
+    def __init__(
+        self,
+        nodes,
+        params: Sequence[BatteryParameters],
+        load: Load,
+        groups: Sequence[int],
+    ) -> None:
+        self.nodes = nodes
+        self.groups = tuple(groups)
+        currents, durations = _epoch_arrays(load)
+        self.is_job = currents > 0.0
+        self.n_epochs = currents.shape[0]
         self.bounds = _BoundEvaluator(
-            params, self.currents, self.durations, bound_slack=0.0
+            params, currents, durations, bound_slack=nodes.bound_slack
         )
         self.pool = FrontierArrays(
             {
-                "state": ((self.n_batteries, 2), np.float64),
-                "sticky": ((self.n_batteries,), np.bool_),
-                "epoch": ((), np.int64),
-                "offset": ((), np.float64),
-                "time": ((), np.float64),
-                "trace": ((), np.int64),
+                name: (column.shape[1:], column.dtype)
+                for name, column in self.root_batch().items()
             }
         )
         self.trace = DecisionTrace()
 
     def root_batch(self):
         """The root decision node as a one-row in-flight column batch."""
-        state = np.zeros((1, self.n_batteries, 2), dtype=np.float64)
-        state[:, :, GAMMA] = self.kp.capacity
+        state = self.nodes.root_state()
         return {
             "state": state,
-            "sticky": np.zeros((1, self.n_batteries), dtype=bool),
+            "dead": np.zeros((1, self.nodes.n_batteries), dtype=bool),
             "epoch": np.zeros(1, dtype=np.int64),
-            "offset": np.zeros(1, dtype=np.float64),
-            "time": np.zeros(1, dtype=np.float64),
+            "offset": np.zeros(1, dtype=self.nodes.spans.dtype),
+            "time": np.zeros(1, dtype=self.nodes.spans.dtype),
             "trace": np.full(1, -1, dtype=np.int64),
         }
 
-    def candidate_lifetime(self, time) -> float:
-        return float(time)
+    def _gather(self, slots: np.ndarray):
+        return {name: getattr(self.pool, name)[slots] for name in _COLUMNS}
+
+    def _candidates(self, cols, rows) -> List[Tuple[float, int]]:
+        """``(lifetime, trace_id)`` pairs of finished rows."""
+        unit = self.nodes.time_unit
+        return [
+            (float(cols["time"][p]) * unit, int(cols["trace"][p])) for p in rows
+        ]
+
+    def _available(self, state: np.ndarray) -> np.ndarray:
+        """Per-battery available charge, the branch-ordering key."""
+        gamma, delta = self.nodes.charge(state)
+        c = self.nodes.c
+        return np.maximum(0.0, c * (gamma - (1.0 - c) * delta))
+
+    def _serve(self, cols, rows: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        """Serve the current job of ``rows`` on ``choice``; True where it emptied."""
+        epoch, offset = cols["epoch"], cols["offset"]
+        remaining = self.nodes.spans[epoch[rows]] - offset[rows]
+        crossed, span = self.nodes.serve(
+            cols["state"], cols["dead"], rows, choice, epoch[rows], remaining
+        )
+        cols["dead"][rows, choice] |= crossed
+        cols["time"][rows] += span
+        mid = crossed & (remaining - span > _TIME_EPSILON)
+        epoch[rows] = np.where(mid, epoch[rows], epoch[rows] + 1)
+        offset[rows] = np.where(mid, offset[rows] + span, 0)
+        return crossed
+
+    def _idle(self, cols, rows: np.ndarray) -> None:
+        """Rest ``rows`` through the rest of their (idle) epoch."""
+        epoch, offset = cols["epoch"], cols["offset"]
+        span = self.nodes.spans[epoch[rows]] - offset[rows]
+        self.nodes.idle(cols["state"], cols["dead"], rows, span)
+        cols["time"][rows] += span
+        epoch[rows] += 1
+        offset[rows] = 0
 
     # -- expansion ------------------------------------------------------ #
     def branch(self, slots: np.ndarray):
@@ -812,17 +1032,10 @@ class _AnalyticalOps:
         :meth:`prepare` (idle-epoch advance, bound, dominance).  The
         caller releases the parent slots afterwards.
         """
-        pool = self.pool
-        S = pool.state[slots]
-        sticky = pool.sticky[slots]
-        epoch = pool.epoch[slots]
-        offset = pool.offset[slots]
-        time = pool.time[slots]
-        trace = pool.trace[slots]
-        c = self.kp.c
-        margin = S[:, :, GAMMA] - (1.0 - c) * S[:, :, DELTA]
-        alive = (~sticky) & (margin > _EMPTY_TOLERANCE)
-        avail = np.maximum(0.0, c * margin)
+        cols = self._gather(slots)
+        alive = self.nodes.alive(cols["state"], cols["dead"])
+        avail = self._available(cols["state"])
+        offset, time = cols["offset"], cols["time"]
 
         parents: List[int] = []
         choices: List[int] = []
@@ -831,7 +1044,7 @@ class _AnalyticalOps:
             # Most available charge first; ``sorted`` is stable, so ties
             # keep index order -- identical to the scalar ordering.
             ordered = sorted(usable, key=lambda j: -avail[i, j])
-            if offset[i] == 0.0 and time[i] == 0.0:
+            if offset[i] == 0 and time[i] == 0:
                 # All batteries are full at the very first decision: one
                 # representative per symmetry group suffices (a no-op for
                 # all-singleton groups), exactly like the scalar search.
@@ -843,56 +1056,18 @@ class _AnalyticalOps:
             return [], None
         par = np.asarray(parents, dtype=np.int64)
         cho = np.asarray(choices, dtype=np.int64)
-        P = par.shape[0]
-        rows = np.arange(P)
 
-        cur = self.currents[epoch[par]]
-        remaining = self.durations[epoch[par]] - offset[par]
-        crossing, crossed = time_to_empty_array(
-            c[cho],
-            self.kp.k_prime[cho],
-            S[par, cho, GAMMA],
-            S[par, cho, DELTA],
-            cur,
-            remaining,
-        )
-        span = np.where(crossed, crossing, remaining)
-        battery_currents = np.zeros((P, self.n_batteries))
-        battery_currents[rows, cho] = cur
-        old = S[par]
-        new = step_constant_current_array(
-            self.kp, old, battery_currents, span[:, None]
-        )
-        frozen = sticky[par]
-        child_state = np.where(frozen[:, :, None], old, new)
-        child_sticky = frozen.copy()
-        child_sticky[rows, cho] |= crossed
-        child_time = time[par] + span
-        mid = crossed & (remaining - span > _TIME_EPSILON)
-        child_epoch = np.where(mid, epoch[par], epoch[par] + 1)
-        child_offset = np.where(mid, offset[par] + span, 0.0)
-        child_trace = self.trace.append(trace[par], cho)
-
-        child_margin = child_state[:, :, GAMMA] - (1.0 - c) * child_state[:, :, DELTA]
-        alive_after = (~child_sticky) & (child_margin > _EMPTY_TOLERANCE)
+        children = {name: column[par] for name, column in cols.items()}
+        crossed = self._serve(children, np.arange(par.size), cho)
+        children["trace"] = self.trace.append(children["trace"], cho)
+        alive_after = self.nodes.alive(children["state"], children["dead"])
         dead = crossed & ~alive_after.any(axis=1)
 
-        candidates = [
-            (float(child_time[p]), int(child_trace[p]))
-            for p in np.flatnonzero(dead)
-        ]
+        candidates = self._candidates(children, np.flatnonzero(dead))
         live = np.flatnonzero(~dead)
         if live.size == 0:
             return candidates, None
-        children = {
-            "state": child_state[live],
-            "sticky": child_sticky[live],
-            "epoch": child_epoch[live],
-            "offset": child_offset[live],
-            "time": child_time[live],
-            "trace": child_trace[live],
-        }
-        return candidates, children
+        return candidates, {name: column[live] for name, column in children.items()}
 
     # -- decision-point preparation ------------------------------------- #
     def prepare(self, children, best_lifetime: float):
@@ -905,24 +1080,16 @@ class _AnalyticalOps:
         """
         if children is None:
             return [], []
-        S = children["state"]
-        sticky = children["sticky"]
-        epoch = children["epoch"]
-        offset = children["offset"]
-        time = children["time"]
-        trace = children["trace"]
-        K = S.shape[0]
-        c = self.kp.c
+        epoch, offset = children["epoch"], children["offset"]
 
         candidates = []
         decided: List[int] = []
-        pending = np.arange(K)
+        pending = np.arange(epoch.shape[0])
         while pending.size:
             exhausted = epoch[pending] >= self.n_epochs
-            for p in pending[exhausted]:
-                # The batteries survived the load; the load end is the
-                # observed lifetime (scalar semantics).
-                candidates.append((float(time[p]), int(trace[p])))
+            # The batteries survived the load; the load end is the
+            # observed lifetime (scalar semantics).
+            candidates += self._candidates(children, pending[exhausted])
             rest = pending[~exhausted]
             if rest.size == 0:
                 break
@@ -931,66 +1098,36 @@ class _AnalyticalOps:
             idle = rest[~job]
             if idle.size == 0:
                 break
-            span = self.durations[epoch[idle]] - offset[idle]
-            old = S[idle]
-            new = step_constant_current_array(
-                self.kp, old, np.zeros((idle.size, self.n_batteries)), span[:, None]
-            )
-            S[idle] = np.where(sticky[idle][:, :, None], old, new)
-            time[idle] += span
-            epoch[idle] += 1
-            offset[idle] = 0.0
+            self._idle(children, idle)
             pending = idle
 
         if not decided:
             return candidates, []
         d = np.asarray(decided, dtype=np.int64)
-        margin = S[d, :, GAMMA] - (1.0 - c) * S[d, :, DELTA]
-        alive = (~sticky[d]) & (margin > _EMPTY_TOLERANCE)
+        state, dead = children["state"], children["dead"]
+        alive = self.nodes.alive(state[d], dead[d])
         any_alive = alive.any(axis=1)
-        for p in d[~any_alive]:
-            # A job arrived and no battery can serve it: the system died
-            # the moment the previous span ended.
-            candidates.append((float(time[p]), int(trace[p])))
+        # A job arrived and no battery can serve it: the system died the
+        # moment the previous span ended.
+        candidates += self._candidates(children, d[~any_alive])
         live = d[any_alive]
         if live.size == 0:
             return candidates, []
 
-        if self.bounds.pooled is not None:
-            live_alive = alive[any_alive]
-            gamma = np.where(live_alive, S[live, :, GAMMA], 0.0).sum(axis=1)
-            delta = np.where(live_alive, S[live, :, DELTA], 0.0).sum(axis=1)
-            remaining = self.bounds.pooled_bounds(
-                gamma, delta, epoch[live], offset[live]
-            )
-            y1 = c * (S[live, :, GAMMA] - (1.0 - c) * S[live, :, DELTA])
-            y2 = S[live, :, GAMMA] - y1
-            remaining = self.bounds.recovery_limited_bounds(
-                remaining, gamma, delta, epoch[live], offset[live],
-                y1, y2, live_alive,
-            )
-        else:
-            total = np.where(
-                alive[any_alive], np.maximum(0.0, S[live, :, GAMMA]), 0.0
-            ).sum(axis=1)
-            remaining = self.bounds.total_charge_bounds(
-                total, epoch[live], offset[live]
-            )
-        totals = time[live] + remaining
+        unit = self.nodes.time_unit
+        remaining = self._remaining_bounds(
+            state[live], alive[any_alive], epoch[live], offset[live] * unit
+        )
+        totals = children["time"][live] * unit + remaining
 
         keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
         if keep.size == 0:
             return candidates, []
         kept = live[keep]
-        matrices = self._matrices(S[kept], sticky[kept])
-        pool = self.pool
-        slots = pool.allocate(kept.size)
-        pool.state[slots] = S[kept]
-        pool.sticky[slots] = sticky[kept]
-        pool.epoch[slots] = epoch[kept]
-        pool.offset[slots] = offset[kept]
-        pool.time[slots] = time[kept]
-        pool.trace[slots] = trace[kept]
+        matrices = self.nodes.matrices(state[kept], dead[kept])
+        slots = self.pool.allocate(kept.size)
+        for name in _COLUMNS:
+            getattr(self.pool, name)[slots] = children[name][kept]
         ready = [
             _Child(
                 int(slots[row]),
@@ -1002,15 +1139,25 @@ class _AnalyticalOps:
         ]
         return candidates, ready
 
-    def _matrices(self, states: np.ndarray, sticky: np.ndarray) -> np.ndarray:
-        """The scalar search's dominance matrices, one ``(B, 3)`` per node."""
-        K = states.shape[0]
-        mat = np.empty((K, self.n_batteries, 3))
-        mat[:, :, 0] = 1.0
-        mat[:, :, 1] = states[:, :, GAMMA]
-        mat[:, :, 2] = -states[:, :, DELTA]
-        empty_row = np.array([0.0, -np.inf, -np.inf])
-        return np.where(sticky[:, :, None], empty_row, mat)
+    def _remaining_bounds(self, state, alive, epoch, offset) -> np.ndarray:
+        """Admissible remaining-lifetime bounds (minutes) of decided nodes."""
+        gamma, delta = self.nodes.charge(state)
+        if self.bounds.pooled is None:
+            total = np.where(alive, np.maximum(0.0, gamma), 0.0).sum(axis=1)
+            return self.bounds.total_charge_bounds(total, epoch, offset)
+        pooled_gamma = np.where(alive, gamma, 0.0).sum(axis=1)
+        pooled_delta = np.where(alive, delta, 0.0).sum(axis=1)
+        remaining = self.bounds.pooled_bounds(
+            pooled_gamma, pooled_delta, epoch, offset
+        )
+        if self.nodes.recovery_limited:
+            c = self.nodes.c
+            y1 = c * (gamma - (1.0 - c) * delta)
+            remaining = self.bounds.recovery_limited_bounds(
+                remaining, pooled_gamma, pooled_delta, epoch, offset,
+                y1, gamma - y1, alive,
+            )
+        return remaining
 
     # -- greedy lower bounds -------------------------------------------- #
     def greedy_lifetimes(self, slots: np.ndarray):
@@ -1025,423 +1172,11 @@ class _AnalyticalOps:
         rollouts are real schedules of these batteries, so each lifetime
         is an achievable *lower* bound on the node's optimum.
         """
-        pool = self.pool
-        S = pool.state[slots].copy()
-        sticky = pool.sticky[slots].copy()
-        epoch = pool.epoch[slots].copy()
-        offset = pool.offset[slots].copy()
-        time = pool.time[slots].copy()
-        K = slots.shape[0]
-        c = self.kp.c
-        lifetimes = np.zeros(K)
-        choices: List[List[int]] = [[] for _ in range(K)]
-        active = np.arange(K)
-        while active.size:
-            ended = epoch[active] >= self.n_epochs
-            fin = active[ended]
-            lifetimes[fin] = time[fin]
-            active = active[~ended]
-            if active.size == 0:
-                break
-            job = self.is_job[epoch[active]]
-            idle = active[~job]
-            if idle.size:
-                span = self.durations[epoch[idle]] - offset[idle]
-                old = S[idle]
-                new = step_constant_current_array(
-                    self.kp, old, np.zeros((idle.size, self.n_batteries)), span[:, None]
-                )
-                S[idle] = np.where(sticky[idle][:, :, None], old, new)
-                time[idle] += span
-                epoch[idle] += 1
-                offset[idle] = 0.0
-            serving = active[job]
-            if serving.size:
-                margin = S[serving, :, GAMMA] - (1.0 - c) * S[serving, :, DELTA]
-                alive = (~sticky[serving]) & (margin > _EMPTY_TOLERANCE)
-                dead = ~alive.any(axis=1)
-                fin = serving[dead]
-                lifetimes[fin] = time[fin]
-                serving = serving[~dead]
-                if serving.size:
-                    margin = margin[~dead]
-                    alive = alive[~dead]
-                    avail = np.where(alive, np.maximum(0.0, c * margin), -1.0)
-                    cho = avail.argmax(axis=1)
-                    rows = np.arange(serving.size)
-                    cur = self.currents[epoch[serving]]
-                    remaining = self.durations[epoch[serving]] - offset[serving]
-                    crossing, crossed = time_to_empty_array(
-                        c[cho],
-                        self.kp.k_prime[cho],
-                        S[serving, cho, GAMMA],
-                        S[serving, cho, DELTA],
-                        cur,
-                        remaining,
-                    )
-                    span = np.where(crossed, crossing, remaining)
-                    battery_currents = np.zeros((serving.size, self.n_batteries))
-                    battery_currents[rows, cho] = cur
-                    old = S[serving]
-                    new = step_constant_current_array(
-                        self.kp, old, battery_currents, span[:, None]
-                    )
-                    S[serving] = np.where(sticky[serving][:, :, None], old, new)
-                    sticky[serving, cho] = sticky[serving, cho] | crossed
-                    time[serving] += span
-                    mid = crossed & (remaining - span > _TIME_EPSILON)
-                    epoch[serving] = np.where(mid, epoch[serving], epoch[serving] + 1)
-                    offset[serving] = np.where(mid, offset[serving] + span, 0.0)
-                    for k, j in zip(serving, cho):
-                        choices[int(k)].append(int(j))
-            active = np.concatenate([idle, serving])
-        return lifetimes, choices
-
-
-# --------------------------------------------------------------------- #
-# discrete backend ops
-# --------------------------------------------------------------------- #
-class _DiscreteOps:
-    """Exact integer node advances and bounds for the dKiBaM."""
-
-    model = "discrete"
-
-    def __init__(
-        self,
-        params: Sequence[BatteryParameters],
-        load: Load,
-        symmetric: bool,
-        time_step: float,
-        charge_unit: float,
-        groups: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.params = tuple(params)
-        self.n_batteries = len(params)
-        self.symmetric = symmetric
-        self.groups = _resolve_groups(groups, symmetric, self.n_batteries)
-        self.time_step = time_step
-        self.charge_unit = charge_unit
-        self.dp = KernelParams.from_parameters(params).discretize(
-            time_step, charge_unit
+        cols = self._gather(slots)
+        state, dead, epoch, time = (
+            cols["state"], cols["dead"], cols["epoch"], cols["time"]
         )
-        self.cp = self.dp.c_permille
-        self.q = 1000 - self.cp
-        self.tables = self.dp.tables
-        self.trow = self.dp.table_id
-        self.c = self.dp.c
-        self.height_unit = self.dp.height_unit
-        epochs = load.epochs
-        self.currents = np.array([e.current for e in epochs], dtype=np.float64)
-        self.durations = np.array([e.duration for e in epochs], dtype=np.float64)
-        specs = [
-            discharge_spec_for(e.current, time_step, charge_unit)
-            if e.current > 0.0
-            else None
-            for e in epochs
-        ]
-        self.e_cur = np.array(
-            [spec.cur if spec else 0 for spec in specs], dtype=np.int64
-        )
-        self.e_ct = np.array(
-            [spec.cur_times if spec else 1 for spec in specs], dtype=np.int64
-        )
-        self.e_ticks = np.array(
-            [duration_ticks(e.duration, time_step) for e in epochs], dtype=np.int64
-        )
-        self.is_job = self.e_cur > 0
-        self.n_epochs = len(epochs)
-        # The analytical pooling bound gets the scalar search's
-        # discretization-aware safety margin when pruning dKiBaM searches.
-        self.bounds = _BoundEvaluator(
-            params,
-            self.currents,
-            self.durations,
-            bound_slack=discrete_bound_slack_for(time_step, charge_unit),
-        )
-        self.pool = FrontierArrays(
-            {
-                "units": ((6, self.n_batteries), np.int64),
-                "empty": ((self.n_batteries,), np.bool_),
-                "epoch": ((), np.int64),
-                "offset": ((), np.int64),
-                "time": ((), np.int64),
-                "trace": ((), np.int64),
-            }
-        )
-        self.trace = DecisionTrace()
-
-    def root_batch(self):
-        """The root decision node as a one-row in-flight column batch."""
-        units = np.zeros((1, 6, self.n_batteries), dtype=np.int64)
-        units[:, _N_ROW] = self.dp.total_units
-        units[:, _RCT_ROW] = 1
-        return {
-            "units": units,
-            "empty": np.zeros((1, self.n_batteries), dtype=bool),
-            "epoch": np.zeros(1, dtype=np.int64),
-            "offset": np.zeros(1, dtype=np.int64),
-            "time": np.zeros(1, dtype=np.int64),
-            "trace": np.full(1, -1, dtype=np.int64),
-        }
-
-    def candidate_lifetime(self, time) -> float:
-        return float(time) * self.time_step
-
-    def _alive(self, units: np.ndarray, empty: np.ndarray) -> np.ndarray:
-        crit = self.q * units[..., _M_ROW, :] >= self.cp * units[..., _N_ROW, :]
-        return (~empty) & (~crit)
-
-    # -- expansion ------------------------------------------------------ #
-    def branch(self, slots: np.ndarray):
-        pool = self.pool
-        U = pool.units[slots]  # (K, 6, B)
-        empty = pool.empty[slots]
-        epoch = pool.epoch[slots]
-        offset = pool.offset[slots]
-        time = pool.time[slots]
-        trace = pool.trace[slots]
-        alive = self._alive(U, empty)
-        gamma = U[:, _N_ROW, :] * self.charge_unit
-        delta = U[:, _M_ROW, :] * self.height_unit
-        avail = np.maximum(0.0, self.c * (gamma - (1.0 - self.c) * delta))
-
-        parents: List[int] = []
-        choices: List[int] = []
-        for i in range(slots.shape[0]):
-            usable = np.flatnonzero(alive[i]).tolist()
-            ordered = sorted(usable, key=lambda j: -avail[i, j])
-            if offset[i] == 0 and time[i] == 0:
-                # One representative per symmetry group at the very first
-                # decision, exactly like the scalar search.
-                ordered = _group_representatives(ordered, self.groups)
-            for j in ordered:
-                parents.append(i)
-                choices.append(j)
-        if not parents:
-            return [], None
-        par = np.asarray(parents, dtype=np.int64)
-        cho = np.asarray(choices, dtype=np.int64)
-        P = par.shape[0]
-        rows = np.arange(P)
-
-        cur = self.e_cur[epoch[par]]
-        ct = self.e_ct[epoch[par]]
-        remaining = self.e_ticks[epoch[par]] - offset[par]
-        lane = U[par, :, cho]  # (P, 6)
-        n2, m2, rec2, acc2, rcur2, rct2, empty_tick = discrete_segment_array(
-            self.tables,
-            self.trow[cho],
-            self.cp[cho],
-            lane[:, _N_ROW],
-            lane[:, _M_ROW],
-            lane[:, _REC_ROW],
-            lane[:, _ACC_ROW],
-            lane[:, _RCUR_ROW],
-            lane[:, _RCT_ROW],
-            cur,
-            ct,
-            remaining,
-        )
-        emptied = empty_tick >= 0
-        span = np.where(emptied, empty_tick, remaining)
-
-        child_U = U[par].copy()
-        child_U[rows, :, cho] = np.stack([n2, m2, rec2, acc2, rcur2, rct2], axis=1)
-        child_empty = empty[par].copy()
-        child_empty[rows, cho] |= emptied
-
-        # Idle the other (non-empty) batteries for the served span.
-        other = ~child_empty
-        other[rows, cho] = False
-        lane_node, lane_bat = np.nonzero(other)
-        if lane_node.size:
-            flat = child_U[lane_node, :, lane_bat]  # (L, 6)
-            zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-            i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                self.tables,
-                self.trow[lane_bat],
-                self.cp[lane_bat],
-                flat[:, _N_ROW],
-                flat[:, _M_ROW],
-                flat[:, _REC_ROW],
-                flat[:, _ACC_ROW],
-                flat[:, _RCUR_ROW],
-                flat[:, _RCT_ROW],
-                zeros,
-                np.ones(lane_node.shape[0], dtype=np.int64),
-                span[lane_node],
-            )
-            child_U[lane_node, :, lane_bat] = np.stack(
-                [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-            )
-
-        child_time = time[par] + span
-        mid = emptied & (remaining - span > 0)
-        child_epoch = np.where(mid, epoch[par], epoch[par] + 1)
-        child_offset = np.where(mid, offset[par] + span, 0)
-        child_trace = self.trace.append(trace[par], cho)
-        alive_after = self._alive(child_U, child_empty)
-        dead = emptied & ~alive_after.any(axis=1)
-
-        candidates = [
-            (self.candidate_lifetime(child_time[p]), int(child_trace[p]))
-            for p in np.flatnonzero(dead)
-        ]
-        live = np.flatnonzero(~dead)
-        if live.size == 0:
-            return candidates, None
-        children = {
-            "units": child_U[live],
-            "empty": child_empty[live],
-            "epoch": child_epoch[live],
-            "offset": child_offset[live],
-            "time": child_time[live],
-            "trace": child_trace[live],
-        }
-        return candidates, children
-
-    # -- decision-point preparation ------------------------------------- #
-    def prepare(self, children, best_lifetime: float):
-        if children is None:
-            return [], []
-        U = children["units"]
-        empty = children["empty"]
-        epoch = children["epoch"]
-        offset = children["offset"]
-        time = children["time"]
-        trace = children["trace"]
-        K = U.shape[0]
-
-        candidates = []
-        decided: List[int] = []
-        pending = np.arange(K)
-        while pending.size:
-            exhausted = epoch[pending] >= self.n_epochs
-            for p in pending[exhausted]:
-                candidates.append(
-                    (self.candidate_lifetime(time[p]), int(trace[p]))
-                )
-            rest = pending[~exhausted]
-            if rest.size == 0:
-                break
-            job = self.is_job[epoch[rest]]
-            decided.extend(rest[job].tolist())
-            idle = rest[~job]
-            if idle.size == 0:
-                break
-            span = self.e_ticks[epoch[idle]] - offset[idle]
-            usable = ~empty[idle]
-            lane_node, lane_bat = np.nonzero(usable)
-            if lane_node.size:
-                sub = idle[lane_node]
-                flat = U[sub, :, lane_bat]
-                zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                    self.tables,
-                    self.trow[lane_bat],
-                    self.cp[lane_bat],
-                    flat[:, _N_ROW],
-                    flat[:, _M_ROW],
-                    flat[:, _REC_ROW],
-                    flat[:, _ACC_ROW],
-                    flat[:, _RCUR_ROW],
-                    flat[:, _RCT_ROW],
-                    zeros,
-                    np.ones(lane_node.shape[0], dtype=np.int64),
-                    span[lane_node],
-                )
-                U[sub, :, lane_bat] = np.stack(
-                    [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                )
-            time[idle] += span
-            epoch[idle] += 1
-            offset[idle] = 0
-            pending = idle
-
-        if not decided:
-            return candidates, []
-        d = np.asarray(decided, dtype=np.int64)
-        alive = self._alive(U[d], empty[d])
-        any_alive = alive.any(axis=1)
-        for p in d[~any_alive]:
-            candidates.append(
-                (self.candidate_lifetime(time[p]), int(trace[p]))
-            )
-        live = d[any_alive]
-        if live.size == 0:
-            return candidates, []
-
-        offset_min = offset[live] * self.time_step
-        if self.bounds.pooled is not None:
-            live_alive = alive[any_alive]
-            gamma_u = U[live, _N_ROW, :] * self.charge_unit
-            delta_u = U[live, _M_ROW, :] * self.height_unit
-            gamma = np.where(live_alive, gamma_u, 0.0).sum(axis=1)
-            delta = np.where(live_alive, delta_u, 0.0).sum(axis=1)
-            # No recovery-limited refinement here: the chain-feasibility
-            # argument holds for the continuous dynamics only, and dKiBaM
-            # tick rounding can keep a marginal burst alive that the
-            # continuous threshold rules out (see
-            # OptimalScheduler._recovery_limited_bound).  The discrete
-            # search keeps the slack-inflated pooling bound.
-            remaining = self.bounds.pooled_bounds(
-                gamma, delta, epoch[live], offset_min
-            )
-        else:
-            total = np.where(
-                alive[any_alive], U[live, _N_ROW, :] * self.charge_unit, 0.0
-            ).sum(axis=1)
-            remaining = self.bounds.total_charge_bounds(
-                total, epoch[live], offset_min
-            )
-        totals = time[live] * self.time_step + remaining
-
-        keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
-        if keep.size == 0:
-            return candidates, []
-        kept = live[keep]
-        matrices = self._matrices(U[kept], empty[kept])
-        pool = self.pool
-        slots = pool.allocate(kept.size)
-        pool.units[slots] = U[kept]
-        pool.empty[slots] = empty[kept]
-        pool.epoch[slots] = epoch[kept]
-        pool.offset[slots] = offset[kept]
-        pool.time[slots] = time[kept]
-        pool.trace[slots] = trace[kept]
-        ready = [
-            _Child(
-                int(slots[row]),
-                float(totals[keep[row]]),
-                (int(epoch[p]), int(offset[p])),
-                matrices[row],
-            )
-            for row, p in enumerate(kept)
-        ]
-        return candidates, ready
-
-    def _matrices(self, units: np.ndarray, empty: np.ndarray) -> np.ndarray:
-        """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
-        K = units.shape[0]
-        mat = np.empty((K, self.n_batteries, 5))
-        mat[:, :, 0] = 1.0
-        mat[:, :, 1] = units[:, _N_ROW, :]
-        mat[:, :, 2] = -units[:, _M_ROW, :]
-        mat[:, :, 3] = -units[:, _ACC_ROW, :]
-        mat[:, :, 4] = units[:, _REC_ROW, :]
-        empty_row = np.full(5, -np.inf)
-        empty_row[0] = 0.0
-        return np.where(empty[:, :, None], empty_row, mat)
-
-    # -- greedy lower bounds -------------------------------------------- #
-    def greedy_lifetimes(self, slots: np.ndarray):
-        """Exact-tick greedy-completion lifetimes; see the analytical twin."""
-        pool = self.pool
-        U = pool.units[slots].copy()
-        empty = pool.empty[slots].copy()
-        epoch = pool.epoch[slots].copy()
-        offset = pool.offset[slots].copy()
-        time = pool.time[slots].copy()
+        unit = self.nodes.time_unit
         K = slots.shape[0]
         lifetimes = np.zeros(K)
         choices: List[List[int]] = [[] for _ in range(K)]
@@ -1449,115 +1184,31 @@ class _DiscreteOps:
         while active.size:
             ended = epoch[active] >= self.n_epochs
             fin = active[ended]
-            lifetimes[fin] = time[fin] * self.time_step
+            lifetimes[fin] = time[fin] * unit
             active = active[~ended]
             if active.size == 0:
                 break
             job = self.is_job[epoch[active]]
             idle = active[~job]
             if idle.size:
-                span = self.e_ticks[epoch[idle]] - offset[idle]
-                usable = ~empty[idle]
-                lane_node, lane_bat = np.nonzero(usable)
-                if lane_node.size:
-                    sub = idle[lane_node]
-                    flat = U[sub, :, lane_bat]
-                    zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                    i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                        self.tables,
-                        self.trow[lane_bat],
-                        self.cp[lane_bat],
-                        flat[:, _N_ROW],
-                        flat[:, _M_ROW],
-                        flat[:, _REC_ROW],
-                        flat[:, _ACC_ROW],
-                        flat[:, _RCUR_ROW],
-                        flat[:, _RCT_ROW],
-                        zeros,
-                        np.ones(lane_node.shape[0], dtype=np.int64),
-                        span[lane_node],
-                    )
-                    U[sub, :, lane_bat] = np.stack(
-                        [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                    )
-                time[idle] += span
-                epoch[idle] += 1
-                offset[idle] = 0
+                self._idle(cols, idle)
             serving = active[job]
             if serving.size:
-                alive = self._alive(U[serving], empty[serving])
-                dead = ~alive.any(axis=1)
-                fin = serving[dead]
-                lifetimes[fin] = time[fin] * self.time_step
-                serving = serving[~dead]
+                alive = self.nodes.alive(state[serving], dead[serving])
+                out = ~alive.any(axis=1)
+                fin = serving[out]
+                lifetimes[fin] = time[fin] * unit
+                serving = serving[~out]
                 if serving.size:
-                    alive = alive[~dead]
-                    gamma = U[serving, _N_ROW, :] * self.charge_unit
-                    delta = U[serving, _M_ROW, :] * self.height_unit
                     avail = np.where(
-                        alive,
-                        np.maximum(0.0, self.c * (gamma - (1.0 - self.c) * delta)),
-                        -1.0,
+                        alive[~out], self._available(state[serving]), -1.0
                     )
                     cho = avail.argmax(axis=1)
-                    rows = np.arange(serving.size)
-                    cur = self.e_cur[epoch[serving]]
-                    ct = self.e_ct[epoch[serving]]
-                    remaining = self.e_ticks[epoch[serving]] - offset[serving]
-                    lane = U[serving, :, cho]
-                    n2, m2, rec2, acc2, rcur2, rct2, empty_tick = discrete_segment_array(
-                        self.tables,
-                        self.trow[cho],
-                        self.cp[cho],
-                        lane[:, _N_ROW],
-                        lane[:, _M_ROW],
-                        lane[:, _REC_ROW],
-                        lane[:, _ACC_ROW],
-                        lane[:, _RCUR_ROW],
-                        lane[:, _RCT_ROW],
-                        cur,
-                        ct,
-                        remaining,
-                    )
-                    emptied = empty_tick >= 0
-                    span = np.where(emptied, empty_tick, remaining)
-                    U[serving, :, cho] = np.stack(
-                        [n2, m2, rec2, acc2, rcur2, rct2], axis=1
-                    )
-                    empty[serving, cho] = empty[serving, cho] | emptied
-                    other = ~empty[serving]
-                    other[rows, cho] = False
-                    lane_node, lane_bat = np.nonzero(other)
-                    if lane_node.size:
-                        sub = serving[lane_node]
-                        flat = U[sub, :, lane_bat]
-                        zeros = np.zeros(lane_node.shape[0], dtype=np.int64)
-                        i_n, i_m, i_rec, i_acc, i_rcur, i_rct, _ = discrete_segment_array(
-                            self.tables,
-                            self.trow[lane_bat],
-                            self.cp[lane_bat],
-                            flat[:, _N_ROW],
-                            flat[:, _M_ROW],
-                            flat[:, _REC_ROW],
-                            flat[:, _ACC_ROW],
-                            flat[:, _RCUR_ROW],
-                            flat[:, _RCT_ROW],
-                            zeros,
-                            np.ones(lane_node.shape[0], dtype=np.int64),
-                            span[lane_node],
-                        )
-                        U[sub, :, lane_bat] = np.stack(
-                            [i_n, i_m, i_rec, i_acc, i_rcur, i_rct], axis=1
-                        )
-                    time[serving] += span
-                    mid = emptied & (remaining - span > 0)
-                    epoch[serving] = np.where(mid, epoch[serving], epoch[serving] + 1)
-                    offset[serving] = np.where(mid, offset[serving] + span, 0)
+                    self._serve(cols, serving, cho)
                     for k, j in zip(serving, cho):
                         choices[int(k)].append(int(j))
             active = np.concatenate([idle, serving])
         return lifetimes, choices
-
 
 # --------------------------------------------------------------------- #
 # the batched scheduler
@@ -1650,20 +1301,16 @@ class BatchOptimalScheduler:
             if use_symmetry
             else tuple(range(len(self.params)))
         )
-        self._groups = groups
-        symmetric = len(set(groups)) == 1
-        if model == "discrete":
-            self._ops = _DiscreteOps(
-                self.params, load, symmetric, time_step, charge_unit, groups=groups
-            )
-        else:
-            self._ops = _AnalyticalOps(self.params, load, symmetric, groups=groups)
+        nodes = (
+            _DiscreteNodes(self.params, load, time_step, charge_unit)
+            if model == "discrete"
+            else _AnalyticalNodes(self.params, load)
+        )
+        self._ops = _SearchOps(nodes, self.params, load, groups)
         self._archive = VectorDominanceArchive(
-            symmetric=symmetric,
-            n_batteries=len(self.params),
+            groups,
             dominance_tolerance=dominance_tolerance,
             archive_limit=archive_limit,
-            groups=groups,
         )
         self._best_lifetime = float("-inf")
         self._best_assignment: Tuple[int, ...] = ()

@@ -46,6 +46,38 @@ def _goal_all_empty(model: TakibamModel):
     return goal
 
 
+def _run_until_all_empty(model: TakibamModel, chooser) -> MCRResult:
+    """Run the network eagerly until every battery is empty.
+
+    Once the ``load`` automaton is ``exhausted`` and no action is enabled,
+    only recovery can follow, and recovery never empties a battery: the run
+    stops at that state instead of idling on to the step cap.  A battery
+    that empties on the last tick fires its empty actions before that, so
+    it still reports its lifetime.
+
+    Raises:
+        RuntimeError: the load ended before every battery was empty.
+    """
+    semantics = NetworkSemantics(model.network)
+    all_empty = _goal_all_empty(model)
+    load_index = model.network.automaton_index("load")
+
+    def stop(state: NetworkState) -> bool:
+        if all_empty(state):
+            return True
+        return (
+            state.locations[load_index] == "exhausted"
+            and next(semantics.action_successors(state), None) is None
+        )
+
+    result = run_deterministic(semantics, stop, chooser=chooser)
+    if not all_empty(result.goal_state):
+        raise RuntimeError(
+            "the TA-KiBaM did not reach the all-empty state; the load is too short"
+        )
+    return result
+
+
 def _chosen_battery(transition: Transition) -> Optional[int]:
     """The battery index chosen by a scheduler transition, if it is one."""
     match = _CHOICE_PATTERN.search(transition.label)
@@ -86,13 +118,7 @@ def takibam_single_battery_lifetime(
     an eager run suffices.
     """
     model = build_takibam([params], load, time_step=time_step, charge_unit=charge_unit)
-    semantics = NetworkSemantics(model.network)
-    result = run_deterministic(semantics, _goal_all_empty(model), chooser=_default_chooser)
-    if not result.found:
-        raise RuntimeError(
-            "the TA-KiBaM did not reach the all-empty state; the load is too short"
-        )
-    assert result.goal_state is not None
+    result = _run_until_all_empty(model, _default_chooser)
     return result.goal_state.time * time_step
 
 
@@ -111,7 +137,6 @@ def run_policy_on_takibam(
     policy: SchedulingPolicy,
 ) -> TakibamRunResult:
     """Drive the TA-KiBaM with a deterministic scheduling policy."""
-    semantics = NetworkSemantics(model.network)
     policy.reset(model.n_batteries)
     decisions: List[int] = []
     previous_choice: Optional[int] = None
@@ -160,12 +185,7 @@ def run_policy_on_takibam(
         previous_choice = battery
         return index
 
-    result = run_deterministic(semantics, _goal_all_empty(model), chooser=chooser)
-    if not result.found:
-        raise RuntimeError(
-            "the TA-KiBaM policy run did not reach the all-empty state; extend the load"
-        )
-    assert result.goal_state is not None
+    result = _run_until_all_empty(model, chooser)
     return TakibamRunResult(
         lifetime=result.goal_state.time * model.time_step,
         assignment=tuple(decisions),

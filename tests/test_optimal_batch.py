@@ -21,6 +21,8 @@ fast; the parity contract is discretization-independent (the bound slack
 scales with the coarseness on both sides, see ``discrete_bound_slack_for``).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -605,50 +607,22 @@ class TestVectorDominanceArchive:
             ]
         return matrices
 
-    @pytest.mark.parametrize("symmetric", [True, False])
-    @pytest.mark.parametrize("tolerance", [0.0, 0.25])
-    def test_decisions_match_the_scalar_archive(self, symmetric, tolerance):
-        rng = np.random.default_rng(11)
-        scalar = DominanceArchive(
-            symmetric=symmetric, dominance_tolerance=tolerance, archive_limit=8
-        )
-        vector = VectorDominanceArchive(
-            symmetric=symmetric,
-            n_batteries=2,
-            dominance_tolerance=tolerance,
-            archive_limit=8,
-        )
-        matrices = self._random_matrices(rng, 300)
-        keys = rng.integers(0, 4, size=300)
-        for key, matrix in zip(keys, matrices):
-            expected = scalar.admit(
-                (int(key),), tuple(tuple(row) for row in matrix)
-            )
-            got = vector.admit((int(key),), matrix)
-            assert got == expected
-
     @pytest.mark.parametrize(
-        "groups", [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 1, 2)]
+        "groups",
+        [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (0, 1, 2), (0, 0), (0, 1)],
     )
     @pytest.mark.parametrize("tolerance", [0.0, 0.25])
     def test_group_decisions_match_the_scalar_archive(self, groups, tolerance):
-        """Pinned decision-for-decision at every group structure a 3-battery
-        fleet can have, not just all-identical vs all-distinct."""
+        """Pinned decision-for-decision at every group structure a 2- or
+        3-battery fleet can have, not just all-identical vs all-distinct."""
         rng = np.random.default_rng(17)
         scalar = DominanceArchive(
-            symmetric=False,
-            dominance_tolerance=tolerance,
-            archive_limit=8,
-            groups=groups,
+            groups, dominance_tolerance=tolerance, archive_limit=8
         )
         vector = VectorDominanceArchive(
-            symmetric=False,
-            n_batteries=3,
-            dominance_tolerance=tolerance,
-            archive_limit=8,
-            groups=groups,
+            groups, dominance_tolerance=tolerance, archive_limit=8
         )
-        matrices = self._random_matrices(rng, 300, n_batteries=3)
+        matrices = self._random_matrices(rng, 300, n_batteries=len(groups))
         keys = rng.integers(0, 4, size=300)
         for key, matrix in zip(keys, matrices):
             expected = scalar.admit(
@@ -658,9 +632,7 @@ class TestVectorDominanceArchive:
             assert got == expected
 
     def test_archive_limit_is_respected(self):
-        vector = VectorDominanceArchive(
-            symmetric=False, n_batteries=1, archive_limit=2
-        )
+        vector = VectorDominanceArchive((0,), archive_limit=2)
         # Mutually non-dominating vectors: only the first two are archived,
         # later ones are still admitted (the scalar semantics).
         for value in range(5):
@@ -831,3 +803,95 @@ class TestBoundCacheCaps:
         assert 0 < len(scheduler._bound_cache) <= self.CAP
         assert len(scheduler._rl_cache) <= self.CAP
         assert len(scheduler._job_table_cache) <= self.CAP
+
+
+#: Fleets and search options of the golden records below.
+GOLDEN_FLEETS = {
+    "2xB1": (B1, B1),
+    "mixed": (B1, B1.scaled(0.8)),
+    "chem": (SCALED, BatteryParameters(capacity=4.0, c=0.3, k_prime=0.2)),
+    "fleet4": (B1.scaled(0.4),) * 2 + (B1.scaled(0.3),) * 2,
+    "fleet8": (B1.scaled(0.2),) * 4 + (B1.scaled(0.15),) * 4,
+    "scaled": (SCALED, SCALED),
+}
+GOLDEN_MODELS = {
+    "AN": dict(model="analytical"),
+    "D01": dict(model="discrete", time_step=0.01, charge_unit=0.01),
+    "D05": dict(model="discrete", time_step=0.05, charge_unit=0.05),
+    "D1": dict(model="discrete", time_step=0.1, charge_unit=0.1),
+}
+GOLDEN_OPTIONS = {
+    "CERT": dict(max_nodes=600),
+    "TOL": dict(max_nodes=1500, dominance_tolerance=0.01),
+    "UNCAPPED": dict(),
+}
+
+#: ``(fleet, load, model, options, lifetime.hex(), assignment, nodes_expanded,
+#: complete)``, the assignment as one digit per decision.
+GOLDEN_RECORDS = [
+    ("2xB1", "ILs 250", "AN", "CERT", "0x1.376deae927f9fp+5", "010101010101010101011", 600, False),
+    ("2xB1", "IL` 250", "AN", "TOL", "0x1.2ff89b22c99efp+6", "000010001011101010110101011", 1500, False),
+    ("2xB1", "ILs alt", "AN", "CERT", "0x1.0db57b40f96e2p+4", "0101110101", 54, True),
+    ("2xB1", "ILs 250", "D01", "CERT", "0x1.375c28f5c28f6p+5", "010101010101010101011", 600, False),
+    ("2xB1", "IL` 250", "D01", "TOL", "0x1.3000000000000p+6", "01010101010101010101010101", 1500, False),
+    ("2xB1", "CL 250", "D01", "CERT", "0x1.8000000000000p+3", "0100011101010", 320, True),
+    ("2xB1", "ILs r2", "D01", "TOL", "0x1.4f0a3d70a3d70p+4", "001100101010", 60, True),
+    ("2xB1", "ILs alt", "D1", "CERT", "0x1.4666666666666p+4", "011000110111", 83, True),
+    ("2xB1", "ILs r2", "D1", "TOL", "0x1.6cccccccccccdp+4", "000100101101", 126, True),
+    ("2xB1", "ILs r1", "D1", "CERT", "0x1.d99999999999ap+3", "010110011", 42, True),
+    ("mixed", "ILs 250", "AN", "CERT", "0x1.ee9539725f774p+4", "01010010101010100", 600, False),
+    ("mixed", "CL alt", "D01", "CERT", "0x1.599999999999ap+2", "1000100", 23, True),
+    ("mixed", "CL alt", "D1", "CERT", "0x1.8cccccccccccdp+2", "00101000", 28, True),
+    ("chem", "ILs alt", "AN", "CERT", "0x1.43d7d8744625fp+4", "001011110111", 235, True),
+    ("chem", "ILs r1", "D05", "CERT", "0x1.0cccccccccccdp+4", "1011101011", 135, True),
+    ("chem", "CL alt", "D1", "CERT", "0x1.f333333333333p+2", "01101010", 82, True),
+    ("fleet4", "ILs r1", "AN", "CERT", "0x1.17d0baadea6a2p+3", "23011231", 117, True),
+    ("fleet4", "ILs r1", "AN", "TOL", "0x1.17d0baadea6a2p+3", "23011231", 115, True),
+    ("fleet4", "ILs alt", "D1", "CERT", "0x1.1333333333333p+3", "20130110", 57, True),
+    ("fleet4", "ILs r1", "D05", "TOL", "0x1.2000000000001p+3", "23201310", 125, True),
+    ("fleet8", "ILs r1", "AN", "CERT", "0x1.0dc662dc2bafcp+3", "405162371031", 499, True),
+    ("fleet8", "ILs alt", "D05", "CERT", "0x1.c000000000000p+2", "40152617323", 181, True),
+    ("scaled", "IL` 250", "AN", "UNCAPPED", "0x1.84cd40b5de5e0p+5", "000101010110101011", 890, True),
+    ("scaled", "IL` 250", "D05", "UNCAPPED", "0x1.7000000000000p+5", "0101010101010101", 533, True),
+]
+
+
+class TestGoldenRecords:
+    """Bit-for-bit, node-for-node records of the batched search.
+
+    The parity tests above allow 1e-9 minutes and loose node contracts;
+    these pin the exact lifetime bits, the winning assignment, the node
+    count and the completeness flag of capped and certified searches on
+    both models (including the coarse 0.1 grid), a mixed-capacity pair, a
+    mixed-chemistry pair (total-charge bound) and 4- and 8-battery fleets.
+    A change to the search that alters any pruning decision fails here.
+    Recorded with NumPy 2 float64 on x86-64.  Discrete lifetimes are tick
+    multiples and are compared bit for bit; analytical lifetimes come from
+    ``np.exp``/``np.log`` closed forms, whose last bit may differ between
+    NumPy builds and CPUs, so they are compared to within a few ULP.
+    """
+
+    @pytest.mark.parametrize(
+        "fleet, load_name, model, options, lifetime, assignment, nodes, complete",
+        GOLDEN_RECORDS,
+        ids=["|".join(record[:4]) for record in GOLDEN_RECORDS],
+    )
+    def test_search_matches_its_golden_record(
+        self, all_loads, fleet, load_name, model, options,
+        lifetime, assignment, nodes, complete,
+    ):
+        result = find_optimal_schedule_batched(
+            list(GOLDEN_FLEETS[fleet]),
+            all_loads[load_name],
+            **GOLDEN_MODELS[model],
+            **GOLDEN_OPTIONS[options],
+        )
+        if GOLDEN_MODELS[model]["model"] == "discrete":
+            assert result.lifetime.hex() == lifetime
+        else:
+            assert math.isclose(
+                result.lifetime, float.fromhex(lifetime), rel_tol=1e-14
+            )
+        assert "".join(map(str, result.assignment)) == assignment
+        assert result.nodes_expanded == nodes
+        assert result.complete is complete

@@ -109,8 +109,22 @@ class TestSingleBatteryValidation:
 
     def test_too_short_load_is_reported(self, b1):
         light = Load(name="short", epochs=(Epoch(current=0.25, duration=1.0),))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="too short"):
             takibam_single_battery_lifetime(b1, light)
+
+    def test_battery_emptying_on_the_last_tick_reports_its_lifetime(self):
+        cell = BatteryParameters(capacity=0.5, c=0.166, k_prime=0.122)
+        grid = {"time_step": 0.05, "charge_unit": 0.05}
+        long = Load(name="long", epochs=(Epoch(current=0.5, duration=10.0),))
+        lifetime = takibam_single_battery_lifetime(cell, long, **grid)
+        exact = Load(name="exact", epochs=(Epoch(current=0.5, duration=lifetime),))
+        assert takibam_single_battery_lifetime(cell, exact, **grid) == lifetime
+        shorter = Load(
+            name="shorter",
+            epochs=(Epoch(current=0.5, duration=lifetime - grid["time_step"]),),
+        )
+        with pytest.raises(RuntimeError, match="too short"):
+            takibam_single_battery_lifetime(cell, shorter, **grid)
 
 
 class TestPolicyRuns:
