@@ -40,8 +40,12 @@ What the driver adds on top of the kernels:
   slot stamps);
 * dominance and symmetry pruning go through
   :class:`VectorDominanceArchive`, the array-backed port of the scalar
-  search's :class:`repro.core.optimal.DominanceArchive`; a test pins the
-  two to identical admit/reject decisions.
+  search's :class:`repro.core.optimal.DominanceArchive`.  Each round's
+  children are admitted per decision point in one batch: one broadcast
+  comparison per chunk of children, then the sequential decisions
+  replayed in child order, so a test pins the two archives to identical
+  admit/reject decisions and the frontier sees the children in the same
+  order as one-at-a-time admission.
 
 The frontier itself is stored structure-of-arrays (:class:`FrontierArrays`):
 preallocated, grow-by-doubling state/bookkeeping column pools with a
@@ -155,6 +159,14 @@ def _group_representatives(
     return representatives
 
 
+#: Children compared per broadcast in :meth:`VectorDominanceArchive.admit_many`.
+#: The all-pairs tables cost ``(archive + chunk) x chunk`` comparisons
+#: against the ``archive x chunk`` of sequential admission, so unbounded
+#: batches lose on deep 8-battery archives; 64 keeps them at parity or
+#: better.
+_ADMIT_CHUNK = 64
+
+
 class VectorDominanceArchive:
     """Array-backed port of :class:`repro.core.optimal.DominanceArchive`.
 
@@ -162,10 +174,16 @@ class VectorDominanceArchive:
     archive per decision point with permutation pairing for identical
     batteries, the ``archive_limit`` cap -- but the archive is held as one
     ``(n_entries, n_batteries, n_components)`` array per decision point and
-    each admission is two vectorized comparisons instead of a Python scan.
-    The scalar search keeps the transparent reference implementation; this
-    is its hot-path counterpart (dominance checks dominate the scalar
-    search's profile), and a test pins the two to identical decisions.
+    a decision point's children are admitted as one batch
+    (:meth:`admit_many`).  Each chunk of up to :data:`_ADMIT_CHUNK`
+    children is compared against the archive *and* against itself in one
+    broadcast, giving two boolean tables (which rows dominate each child,
+    which rows each child dominates); the sequential decisions are then
+    replayed in child order on a Python-int bitset of the live archive
+    rows.  The scalar search keeps the transparent reference
+    implementation; this is its hot-path counterpart (dominance checks
+    dominate the scalar search's profile), and a test pins the two to
+    identical decisions.
     """
 
     def __init__(
@@ -192,49 +210,106 @@ class VectorDominanceArchive:
         self._perms = np.array(group_permutations(self.groups), dtype=np.int64)
         self._entries: dict = {}
 
-    def _signature(self, matrix: np.ndarray):
-        quantized = np.where(np.isinf(matrix), matrix, np.round(matrix / self._scale))
-        rows = [tuple(row) for row in quantized]
-        for members in self._group_members:
-            for slot, row in zip(members, sorted(rows[index] for index in members)):
-                rows[slot] = row
-        return tuple(rows)
-
     def admit(self, key, matrix: np.ndarray) -> bool:
         """Record a ``(n_batteries, n_components)`` state matrix; False when dominated."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = [set(), None]
-        seen, archive = entry
-        signature = self._signature(matrix)
-        if signature in seen:
-            return False
-        if archive is not None and archive.shape[0]:
-            # ``a`` dominating ``b`` under any battery pairing is the same
-            # relation whether the permutations act on ``a`` or on ``b``
-            # (they form a group), so both directions compare the archive
-            # against the candidate's permutations.
-            perms = matrix[self._perms]  # (P, B, V)
-            dominated = np.all(
-                archive[:, None] >= perms[None] - self._slack, axis=(2, 3)
-            )
-            if bool(dominated.any()):
-                return False
-            dominates = np.all(
-                perms[None] >= archive[:, None] - self._slack, axis=(2, 3)
-            )
-            keep = ~dominates.any(axis=1)
-            if not keep.all():
-                archive = archive[keep]
-        if archive is None:
-            archive = matrix[None] if self.archive_limit > 0 else np.empty(
-                (0,) + matrix.shape
-            )
-        elif archive.shape[0] < self.archive_limit:
-            archive = np.concatenate([archive, matrix[None]])
-        entry[1] = archive
-        seen.add(signature)
-        return True
+        return bool(self.admit_many([key], matrix[None])[0])
+
+    def admit_many(self, keys: Sequence, matrices: np.ndarray) -> np.ndarray:
+        """Admit an ``(m, n_batteries, n_components)`` stack; ``keys[j]`` is
+        the decision point of ``matrices[j]``.
+
+        Returns the boolean mask that ``m`` sequential :meth:`admit` calls
+        would return, and leaves the archive exactly as they would.
+        Archives are per decision point, so each key's children are
+        admitted as one batch in their given order.
+        """
+        # Python floats keep the scalar archive's tuple equality (under
+        # which -0.0 == 0.0); byte keys would split them.
+        quantized = np.where(
+            np.isinf(matrices), matrices, np.round(matrices / self._scale)
+        ).tolist()
+        signatures = []
+        for matrix in quantized:
+            rows = [tuple(row) for row in matrix]
+            for members in self._group_members:
+                for slot, row in zip(members, sorted(rows[index] for index in members)):
+                    rows[slot] = row
+            signatures.append(tuple(rows))
+        by_key: dict = {}
+        for row, key in enumerate(keys):
+            by_key.setdefault(key, []).append(row)
+        admitted = np.zeros(len(signatures), dtype=bool)
+        for key, rows in by_key.items():
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = [set(), np.empty((0,) + matrices.shape[1:])]
+                self._entries[key] = entry
+            seen, archive = entry
+            for start in range(0, len(rows), _ADMIT_CHUNK):
+                chunk = rows[start : start + _ADMIT_CHUNK]
+                batch = matrices[chunk]
+                pool = np.concatenate([archive, batch])
+                dominators, dominated = self._dominance_bitsets(pool, batch)
+                # Replay the sequential decisions; bit ``r`` of ``live``
+                # marks pool row ``r`` as archived.
+                offset = archive.shape[0]
+                live = (1 << offset) - 1
+                for j, row in enumerate(chunk):
+                    if signatures[row] in seen or live & dominators[j]:
+                        continue
+                    live &= ~dominated[j]
+                    if live.bit_count() < self.archive_limit:
+                        live |= 1 << (offset + j)
+                    seen.add(signatures[row])
+                    admitted[row] = True
+                bits = np.frombuffer(
+                    live.to_bytes((pool.shape[0] + 7) // 8, "little"), dtype=np.uint8
+                )
+                archive = pool[
+                    np.unpackbits(bits, bitorder="little")[: pool.shape[0]] == 1
+                ]
+            entry[1] = archive
+        return admitted
+
+    def _dominance_bitsets(self, pool: np.ndarray, batch: np.ndarray):
+        """Per-child ``(dominators, dominated)`` bitsets over the pool rows.
+
+        Bit ``r`` of ``dominators[j]`` is set when pool row ``r`` dominates
+        ``batch[j]``; bit ``r`` of ``dominated[j]`` when ``batch[j]``
+        dominates pool row ``r``.  ``a`` dominating ``b`` under any battery
+        pairing is the same relation whether the permutations act on ``a``
+        or on ``b`` (they form a group), so both directions permute the
+        batch.  Each permutation builds one ``(rows, m)`` plane, AND-ed one
+        flattened component at a time; a 5-D ``(rows, m, P, B, V)``
+        temporary would multiply the peak memory.
+        """
+        rows, m = pool.shape[0], batch.shape[0]
+        flat = pool.reshape(rows, -1).T  # (components, rows)
+        lowered = flat - self._slack
+        dominators = np.zeros((rows, m), dtype=bool)
+        dominated = np.zeros((rows, m), dtype=bool)
+        for perm in self._perms:
+            child = batch[:, perm].reshape(m, -1).T  # (components, m)
+            child_lowered = child - self._slack
+            above = np.ones((rows, m), dtype=bool)
+            below = np.ones((rows, m), dtype=bool)
+            for component in range(flat.shape[0]):
+                above &= flat[component, :, None] >= child_lowered[component]
+                below &= child[component] >= lowered[component, :, None]
+            dominators |= above
+            dominated |= below
+        return self._bitsets(dominators), self._bitsets(dominated)
+
+    @staticmethod
+    def _bitsets(table: np.ndarray) -> List[int]:
+        """One little-endian Python int per column of a ``(rows, m)`` table."""
+        packed = np.packbits(table.T, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        return [
+            int.from_bytes(data[j * width : (j + 1) * width], "little")
+            for j in range(packed.shape[0])
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -449,18 +524,6 @@ class DecisionTrace:
 _N_ROW, _M_ROW, _REC_ROW, _ACC_ROW, _RCUR_ROW, _RCT_ROW = range(6)
 
 
-class _Child:
-    """A decision-point child ready for pruning and frontier insertion."""
-
-    __slots__ = ("slot", "bound_total", "key", "matrix")
-
-    def __init__(self, slot, bound_total, key, matrix):
-        self.slot = slot  # frontier-pool slot holding the node state
-        self.bound_total = bound_total  # node time + remaining bound, minutes
-        self.key = key  # decision-point key for the dominance archive
-        self.matrix = matrix  # dominance matrix, (n_batteries, n_components)
-
-
 def _pooling_parameters(
     params: Sequence[BatteryParameters],
 ) -> Optional[Tuple[float, float, float]]:
@@ -526,10 +589,13 @@ class _BoundEvaluator:
             for e, o, g, d in zip(epoch, offset, gamma, delta)
         ]
         out = np.empty(len(keys))
-        miss = [i for i, key in enumerate(keys) if key not in self._cache]
+        miss = []
         for i, key in enumerate(keys):
-            if key in self._cache:
-                out[i] = self._cache[key]
+            value = self._cache.get(key)
+            if value is None:
+                miss.append(i)
+            else:
+                out[i] = value
         if miss:
             idx = np.asarray(miss)
             fresh = self._pooled_walk(
@@ -1074,12 +1140,15 @@ class _SearchOps:
         """Advance raw children to their next decision point and bound them.
 
         Returns ``(candidates, ready)``: candidates for children that
-        survived the load or died at a job arrival, and :class:`_Child`
-        records (bound-pruned already, states parked in pool slots) for
-        the rest.
+        survived the load or died at a job arrival, and for the rest
+        (bound-pruned already, states parked in pool slots) ``ready =
+        (slots, totals, keys, matrices)`` -- their pool slots, node time
+        plus remaining bound in minutes, decision-point keys for the
+        dominance archive and ``(n, n_batteries, n_components)`` dominance
+        matrices -- or ``None`` when no child is left.
         """
         if children is None:
-            return [], []
+            return [], None
         epoch, offset = children["epoch"], children["offset"]
 
         candidates = []
@@ -1102,7 +1171,7 @@ class _SearchOps:
             pending = idle
 
         if not decided:
-            return candidates, []
+            return candidates, None
         d = np.asarray(decided, dtype=np.int64)
         state, dead = children["state"], children["dead"]
         alive = self.nodes.alive(state[d], dead[d])
@@ -1112,7 +1181,7 @@ class _SearchOps:
         candidates += self._candidates(children, d[~any_alive])
         live = d[any_alive]
         if live.size == 0:
-            return candidates, []
+            return candidates, None
 
         unit = self.nodes.time_unit
         remaining = self._remaining_bounds(
@@ -1122,22 +1191,19 @@ class _SearchOps:
 
         keep = np.flatnonzero(totals > best_lifetime + _TIME_EPSILON)
         if keep.size == 0:
-            return candidates, []
+            return candidates, None
         kept = live[keep]
-        matrices = self.nodes.matrices(state[kept], dead[kept])
         slots = self.pool.allocate(kept.size)
         for name in _COLUMNS:
             getattr(self.pool, name)[slots] = children[name][kept]
-        ready = [
-            _Child(
-                int(slots[row]),
-                float(totals[keep[row]]),
-                (int(epoch[p]), round(float(offset[p]), 9)),
-                matrices[row],
+        keys = [
+            (e, round(o, 9))
+            for e, o in zip(
+                epoch[kept].tolist(), offset[kept].astype(np.float64).tolist()
             )
-            for row, p in enumerate(kept)
         ]
-        return candidates, ready
+        matrices = self.nodes.matrices(state[kept], dead[kept])
+        return candidates, (slots, totals[keep], keys, matrices)
 
     def _remaining_bounds(self, state, alive, epoch, offset) -> np.ndarray:
         """Admissible remaining-lifetime bounds (minutes) of decided nodes."""
@@ -1416,34 +1482,28 @@ class BatchOptimalScheduler:
         # when its recorded stamp no longer matches the slot's.
         stamps = np.zeros(pool.capacity, dtype=np.int64)
 
-        def slot_stamp(slot: int) -> int:
+        def admit(ready) -> None:
             nonlocal stamps
+            if ready is None:
+                return
+            slots, totals, keys, matrices = ready
+            admitted = totals > self._best_lifetime + _TIME_EPSILON
+            if self.use_dominance:
+                survivors = np.flatnonzero(admitted)
+                admitted[survivors] = self._archive.admit_many(
+                    [keys[row] for row in survivors.tolist()], matrices[survivors]
+                )
+            pool.release(slots[~admitted])
             if stamps.shape[0] < pool.capacity:
                 grown = np.zeros(pool.capacity, dtype=np.int64)
                 grown[: stamps.shape[0]] = stamps
                 stamps = grown
-            return int(stamps[slot])
-
-        def admit(children) -> None:
-            for child in children:
-                if child.bound_total <= self._best_lifetime + _TIME_EPSILON:
-                    pool.release(child.slot)
-                    continue
-                if self.use_dominance and not self._archive.admit(
-                    child.key, child.matrix
-                ):
-                    pool.release(child.slot)
-                    continue
-                heapq.heappush(
-                    heap,
-                    (
-                        -child.bound_total,
-                        next(counter),
-                        child.bound_total,
-                        child.slot,
-                        slot_stamp(child.slot),
-                    ),
-                )
+            # Push in child order: the heap breaks bound ties by counter.
+            kept = slots[admitted]
+            for slot, total, stamp in zip(
+                kept.tolist(), totals[admitted].tolist(), stamps[kept].tolist()
+            ):
+                heapq.heappush(heap, (-total, next(counter), total, slot, stamp))
 
         def evict_frontier() -> None:
             """Retroactively drop frontier entries the incumbent now covers.

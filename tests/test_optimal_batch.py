@@ -38,6 +38,7 @@ from repro.core.optimal import (
 from repro.core.policies import FixedAssignmentPolicy
 from repro.core.simulator import simulate_policy
 from repro.engine.optimal_batch import (
+    _ADMIT_CHUNK,
     BatchOptimalScheduler,
     DecisionTrace,
     FrontierArrays,
@@ -640,6 +641,115 @@ class TestVectorDominanceArchive:
             assert vector.admit("k", matrix)
         stored = vector._entries["k"][1]
         assert stored.shape[0] == 2
+
+    # -- batched admission ---------------------------------------------- #
+    def _adversarial_stream(self, rng, n, n_batteries):
+        """Random matrices laced with every case the batch replay must order.
+
+        Besides fresh random states the stream repeats earlier states
+        exactly (duplicate signatures), shifts them down or up by half a
+        unit (a later child dominated by, or evicting, an earlier one),
+        flips the sign of their zeros or adds +-1e-12 noise (-0.0/+0.0
+        quantization) and plants empty-battery ``inf`` sentinel rows.
+        """
+        matrices = self._random_matrices(rng, n, n_batteries=n_batteries)
+        for index in range(1, n):
+            source = matrices[rng.integers(index)]
+            kind = rng.integers(6)
+            if kind == 0:
+                matrices[index] = source
+            elif kind == 1:
+                matrices[index] = source - 0.5
+            elif kind == 2:
+                matrices[index] = source + 0.5
+            elif kind == 3:
+                matrices[index] = np.where(source == 0.0, -source, source)
+            elif kind == 4:
+                matrices[index] = source + rng.choice([-1e-12, 1e-12], source.shape)
+        return matrices
+
+    def _scalar_decisions(self, groups, tolerance, limit, keys, matrices):
+        scalar = DominanceArchive(
+            groups, dominance_tolerance=tolerance, archive_limit=limit
+        )
+        decisions = [
+            scalar.admit(key, tuple(tuple(row) for row in matrix))
+            for key, matrix in zip(keys, matrices)
+        ]
+        contents = {key: set(archive) for key, (_, archive) in scalar._archives.items()}
+        return decisions, contents
+
+    @staticmethod
+    def _row_set(archive):
+        return {tuple(tuple(row) for row in matrix) for matrix in archive.tolist()}
+
+    @pytest.mark.parametrize(
+        "groups", [(0, 0), (0, 1), (0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1)]
+    )
+    @pytest.mark.parametrize("tolerance", [0.0, 0.25])
+    @pytest.mark.parametrize("limit", [0, 8])
+    @pytest.mark.parametrize("piece", [None, 5, 1])
+    def test_admit_many_matches_the_sequential_scalar_archive(
+        self, groups, tolerance, limit, piece
+    ):
+        """Two interleaved keys admitted as one batch, in chunks of five, or
+        one row at a time: the same decisions and archive contents as the
+        scalar reference, with each key's stream longer than the broadcast
+        chunk and the archive limit reached mid-batch."""
+        rng = np.random.default_rng(23)
+        n = 320
+        matrices = self._adversarial_stream(rng, n, len(groups))
+        keys = rng.integers(0, 2, size=n).tolist()
+        assert min(keys.count(0), keys.count(1)) > _ADMIT_CHUNK
+        expected, contents = self._scalar_decisions(
+            groups, tolerance, limit, keys, matrices
+        )
+
+        vector = VectorDominanceArchive(
+            groups, dominance_tolerance=tolerance, archive_limit=limit
+        )
+        step = piece or n
+        got = np.concatenate(
+            [
+                vector.admit_many(keys[at : at + step], matrices[at : at + step])
+                for at in range(0, n, step)
+            ]
+        )
+        assert got.tolist() == expected
+        assert 0 < got.sum() < n
+        for key in (0, 1):
+            archive = vector._entries[key][1]
+            assert archive.shape[0] <= limit
+            assert self._row_set(archive) == contents[key]
+
+    def test_admit_many_replays_within_batch_order(self):
+        vector = VectorDominanceArchive((0,), archive_limit=8)
+        base = np.array([[1.0, 2.0]])
+        batch = np.stack([base, base, base - 1.0, base + 1.0, base])
+        # Duplicate, dominated by an earlier child, evicting an earlier
+        # child, then dominated by the evictor.
+        assert vector.admit_many(["k"] * len(batch), batch).tolist() == [
+            True, False, False, True, False,
+        ]
+        assert self._row_set(vector._entries["k"][1]) == {((2.0, 3.0),)}
+
+    def test_admit_many_fills_the_archive_limit_mid_batch(self):
+        vector = VectorDominanceArchive((0,), archive_limit=2)
+        batch = np.array([[[float(v), float(-v)]] for v in range(5)])
+        assert vector.admit_many(["k"] * len(batch), batch).all()
+        assert vector._entries["k"][1].tolist() == [[[0.0, 0.0]], [[1.0, -1.0]]]
+
+    def test_signed_zeros_share_a_signature(self):
+        # ``archive_limit=0`` keeps the archive empty, so only the
+        # signature check can reject the second matrix.
+        for tolerance, zero in ((0.0, -0.0), (0.25, -1e-12)):
+            vector = VectorDominanceArchive(
+                (0,), dominance_tolerance=tolerance, archive_limit=0
+            )
+            batch = np.array([[[0.0, 1.0]], [[zero, 1.0]], [[0.0, -np.inf]]])
+            decisions = vector.admit_many(["k"] * 3, batch)
+            assert decisions.tolist() == [True, False, True]
+            assert vector._entries["k"][1].shape[0] == 0
 
 
 class TestDiscreteSegmentKernel:
