@@ -13,14 +13,14 @@ and Katoen (DSN 2009):
 * :mod:`repro.takibam` -- the TA-KiBaM network of Section 4 built on that
   substrate,
 * :mod:`repro.engine` -- the vectorized batch execution engine: NumPy
-  KiBaM kernels, array policies and a lock-step many-scenario simulator
-  for fleet-scale sweeps (plus a multiprocessing executor for workloads
-  that scale across cores),
+  KiBaM kernels, array policies, a lock-step many-scenario simulator for
+  fleet-scale sweeps and the batched optimal search,
 * :mod:`repro.sweep` -- declarative experiment orchestration: sweep specs
   over battery-parameter grids, loads and policies, a content-addressed
   result store with chunked resume, and the ``python -m repro sweep`` CLI,
 * :mod:`repro.analysis` -- the experiment layer regenerating every table
-  and figure of the paper.
+  and figure of the paper, and the Monte-Carlo random-load analysis
+  (:func:`run_montecarlo`, which runs through the sweep runner).
 
 Quickstart::
 

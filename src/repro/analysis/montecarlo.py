@@ -8,21 +8,24 @@ and summarizes the lifetime distribution -- the simulation counterpart of
 the lifetime-distribution work the authors reference (Cloth et al.,
 DSN 2007).
 
-Two execution engines are available.  The ``"scalar"`` engine is the
-original pure-Python loop over :func:`repro.core.simulator.simulate_policy`
-and remains the golden reference.  The ``"batch"`` engine hands the whole
-sample set to :class:`repro.engine.batch.BatchSimulator`, which advances
-every scenario through vectorized NumPy kernels and delivers identical
-lifetimes (within the 1e-9 root-finder tolerance for the analytical model;
-*exactly*, tick for tick, for ``model="discrete"``) at well over an order
-of magnitude higher throughput.  ``"auto"`` picks the batch engine whenever
-the battery model and all requested policies are vectorizable.
+:func:`run_montecarlo` has two execution paths.  By default it describes
+the run as a :class:`repro.sweep.spec.SweepSpec` (one battery
+configuration, one random or explicit load axis, the requested policies
+and optional ``optimal`` column) and executes it through
+:class:`repro.sweep.runner.SweepRunner`, which advances the samples
+through the vectorized batch engine (scenario by scenario through the
+scalar fallback where a model or policy has no array form) and, with a
+``cache_dir``, persists them in the content-addressed result store.
+``engine="scalar"`` -- or any policy *object* -- runs the golden-reference
+loop over :func:`repro.core.simulator.simulate_policy` and
+:func:`repro.core.optimal.find_optimal_schedule` instead.  The two agree
+within the 1e-9 root-finder tolerance on the analytical model and
+*exactly*, tick for tick, on ``model="discrete"``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import statistics
 from typing import Dict, List, Optional, Sequence
 
@@ -30,18 +33,23 @@ import numpy as np
 
 from repro.core.optimal import find_optimal_schedule
 from repro.core.simulator import simulate_policy
-from repro.engine.batch import VECTOR_MODELS, BatchSimulator, resolve_model
-from repro.engine.optimal_batch import optimal_schedules_batch
-from repro.engine.parallel import (
-    optimal_lifetimes_chunk,
-    run_chunked,
-    simulate_lifetimes_chunk,
-)
+from repro.engine.batch import VECTOR_MODELS, resolve_model
 from repro.engine.policies import VectorPolicy, has_vector_policy
-from repro.engine.scenarios import ScenarioSet
 from repro.kibam.parameters import BatteryParameters
-from repro.sweep.spec import OPTIMAL_POLICY
-from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG, RandomLoadConfig
+from repro.sweep.runner import SweepRunner
+from repro.sweep.spec import (
+    DEFAULT_CHUNK_SIZE,
+    OPTIMAL_POLICY,
+    BatteryConfig,
+    LoadAxis,
+    SweepSpec,
+)
+from repro.sweep.store import ResultStore
+from repro.workloads.generator import (
+    ILS_LIKE_RANDOM_CONFIG,
+    RandomLoadConfig,
+    generate_random_load,
+)
 from repro.workloads.load import Load
 
 #: Engines understood by :func:`run_montecarlo`.
@@ -137,12 +145,9 @@ def run_montecarlo(
     engine: str = "auto",
     backend: Optional[str] = None,
     optimal_max_nodes: Optional[int] = 20_000,
-    n_workers: int = 1,
     loads: Optional[Sequence[Load]] = None,
     cache_dir: Optional[str] = None,
     model: Optional[str] = None,
-    time_step: float = 0.01,
-    charge_unit: float = 0.01,
     dominance_tolerance: float = 0.005,
 ) -> MonteCarloResult:
     """Sample random loads and summarize the policy lifetimes on them.
@@ -150,11 +155,12 @@ def run_montecarlo(
     Args:
         params: battery parameter sets, one per battery.
         n_samples: number of random loads to draw.
-        policies: policies to evaluate on every sample.  The pseudo-policy
-            ``"optimal"`` is a first-class column: it runs one branch-and-
-            bound search per sample (batched through the engine kernels on
-            the vectorizable battery models, scalar otherwise) with the
-            ``optimal_max_nodes`` cap and the sweep state-merge tolerance.
+        policies: policies to evaluate on every sample: registry names or
+            :class:`repro.core.policies.SchedulingPolicy` objects.  The
+            pseudo-policy ``"optimal"`` is a first-class column: it runs
+            one branch-and-bound search per sample with the
+            ``optimal_max_nodes`` cap and the ``dominance_tolerance``
+            state-merge tolerance.
         include_optimal: legacy spelling of appending ``"optimal"`` to
             ``policies``; the resulting column is labelled ``"optimal"``.
         config: random-load configuration; the default produces ILs-like
@@ -163,79 +169,56 @@ def run_montecarlo(
             ``rng`` or ``loads`` is given).
         rng: an explicit :class:`numpy.random.Generator` to draw every
             sample from one stream.  The loads are drawn exactly once, so
-            scalar and batch engines see identical samples either way.
-        engine: ``"scalar"`` (the golden-reference Python loop),
-            ``"batch"`` (the vectorized engine; non-vectorizable
-            model/policy combinations still run, scenario by scenario,
-            through the scalar fallback) or ``"auto"``.  The result's
-            ``engine`` field records the path that actually executed.
-        backend: battery model for the policy simulations (legacy name;
-            ``model`` is the preferred spelling).  Both ``"analytical"``
-            and ``"discrete"`` sweeps vectorize; ``"linear"`` runs scalar.
+            both engines see identical samples.
+        engine: ``"scalar"`` runs the golden-reference Python loop;
+            ``"batch"`` and ``"auto"`` run the sweep runner.  Policy
+            objects always run the scalar loop.  The result's ``engine``
+            field is ``"batch"`` only when the runner advanced every
+            policy column through the vectorized kernels (a vector model
+            and vector-capable policy names); the runner's scenario-by-
+            scenario scalar fallback is labelled ``"scalar"``.
+        backend: battery model (legacy name; ``model`` is the preferred
+            spelling).  ``"analytical"`` and ``"discrete"`` vectorize;
+            ``"linear"`` runs through the runner's scalar fallback.
         model: alias of ``backend``; passing both with different values is
             an error.
         optimal_max_nodes: node cap per optimal search.
-        n_workers: worker processes for the scalar and optimal sweeps
-            (``1`` runs inline; the batch engine itself is single-process
-            array code and ignores this).
         loads: explicit sample loads, overriding the random sampling; the
             length overrides ``n_samples``.
         cache_dir: directory of a :class:`repro.sweep.store.ResultStore`.
-            When given and the batch engine executes the sweep, the
-            deterministic-policy lifetimes are routed through the sweep
-            result store: a repeated call with the same seed/config/params
-            (or the same explicit loads) is a pure cache read instead of a
-            re-simulation, and an interrupted sweep resumes chunk by chunk.
-            The store is keyed by spec content, so scalar re-verification
-            runs (``engine="scalar"``), explicit ``rng`` streams and
-            non-string policy objects bypass it.  The optimal column is
-            stored too (its node cap and merge tolerance are part of the
-            spec hash), except on multiprocessing runs (``n_workers > 1``),
-            which keep the scalar worker path and bypass the store.
-        time_step / charge_unit: dKiBaM discretization (minutes / Amin;
-            ``model="discrete"`` only).  Threaded through *every* execution
-            path -- batch kernels, inline scalar loops and the
-            multiprocessing workers alike (the workers silently ran the
-            default 0.01 grid once; that bug is regression-tested now).
-            Non-default grids bypass the result store on the discrete
-            model, whose sweep specs pin the reference discretization;
-            analytical runs ignore the knobs and keep their cache.
+            The runner then persists every column chunk by chunk: a
+            repeated call with the same seed/config/params (or the same
+            explicit loads) is a pure cache read, and an interrupted run
+            resumes from its last stored chunk.  The store is keyed by spec
+            content (the optimal column's node cap and merge tolerance
+            included).  The scalar loop and explicit ``rng`` streams, which
+            no spec can describe, bypass it.
         dominance_tolerance: state-merge tolerance (Amin) of the optimal
             column's searches; the long-standing sweep default is half a
-            charge unit.  Part of the spec hash on store-routed runs.
+            charge unit.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known engines: {ENGINES}")
     backend = resolve_model(model, backend)
     load_config = config if config is not None else ILS_LIKE_RANDOM_CONFIG
-    # Sampling is deferred: a fully cached store run never touches the
-    # random loads, so drawing them here would put the (Python-loop) load
-    # generation back on the cache-hit path.
-    _scenarios: List[Optional[ScenarioSet]] = [None]
-
-    def get_scenarios() -> ScenarioSet:
-        if _scenarios[0] is None:
-            if loads is not None:
-                _scenarios[0] = ScenarioSet.from_loads(list(loads))
-            else:
-                _scenarios[0] = ScenarioSet.random(
-                    n_samples, load_config, seed=seed, rng=rng
-                )
-        return _scenarios[0]
-
     if loads is not None:
         n_samples = len(loads)
     elif n_samples < 1:
         raise ValueError("n_samples must be at least 1")
 
-    # Policies may be registry names or policy objects (vector or scalar);
-    # the result columns are always keyed by the policy's name.  The
-    # pseudo-policy "optimal" is split off: it is one branch-and-bound
-    # search per sample, not a policy simulation.
+    # The result columns are keyed by the policy's name.  The pseudo-policy
+    # "optimal" is one branch-and-bound search per sample, not a policy
+    # simulation.
+    policies = list(policies)
     names = [policy if isinstance(policy, str) else policy.name for policy in policies]
     if len(set(names)) != len(names):
         raise ValueError(f"policy names must be unique, got {names}")
     for policy in policies:
+        if isinstance(policy, VectorPolicy):
+            raise TypeError(
+                f"run_montecarlo cannot run vector policy {policy.name!r}; "
+                "pass its registry name or a SchedulingPolicy instead"
+            )
         if not isinstance(policy, str) and policy.name == OPTIMAL_POLICY:
             raise ValueError(
                 "the 'optimal' column is computed by the branch-and-bound "
@@ -244,182 +227,68 @@ def run_montecarlo(
                 "'optimal' to request the search column"
             )
     if include_optimal and OPTIMAL_POLICY not in names:
-        names = names + [OPTIMAL_POLICY]
-    optimal_requested = OPTIMAL_POLICY in names
-    sim_pairs = [
-        (name, policy)
-        for name, policy in zip(
-            [p if isinstance(p, str) else p.name for p in policies], policies
-        )
-        if name != OPTIMAL_POLICY
-    ]
-    sim_names = [name for name, _ in sim_pairs]
-    sim_policies = [policy for _, policy in sim_pairs]
+        policies.append(OPTIMAL_POLICY)
+        names.append(OPTIMAL_POLICY)
 
-    vectorizable = backend in VECTOR_MODELS and all(
-        isinstance(policy, VectorPolicy)
-        or (isinstance(policy, str) and has_vector_policy(policy))
-        for policy in sim_policies
-    )
-    if engine == "auto":
-        engine = "batch" if vectorizable else "scalar"
-    # The result's engine label records the execution path that actually
-    # ran: requesting "batch" with a non-vectorizable backend/policy set
-    # still works, but runs scenario-by-scenario through the scalar
-    # fallback and is labelled accordingly.
-    executed_engine = "batch" if (engine == "batch" and vectorizable) else "scalar"
+    if loads is not None:
+        axis = LoadAxis.explicit(list(loads), label="montecarlo")
+    elif rng is not None:
+        drawn = [
+            generate_random_load(config=load_config, rng=rng)
+            for _ in range(n_samples)
+        ]
+        axis = LoadAxis.explicit(drawn, label="montecarlo")
+    else:
+        axis = LoadAxis.random(n_samples, seed=seed, config=load_config)
 
-    use_store = (
-        cache_dir is not None
-        and engine == "batch"
-        and vectorizable
-        and rng is None
-        and all(isinstance(policy, str) for policy in policies)
-        and not (optimal_requested and n_workers > 1)
-        # Sweep specs pin the reference discretization; a non-default grid
-        # must not alias the reference entries, so it runs store-less.
-        # Only the discrete model reads the grid -- analytical sweeps keep
-        # their cache whatever the (ignored) knobs say.
-        and (
-            backend != "discrete"
-            or (time_step == 0.01 and charge_unit == 0.01)
-        )
-    )
-
-    per_sample: Dict[str, List[float]] = {}
-    if use_store:
-        # Route the whole sweep -- deterministic policies and the optimal
-        # column alike -- through the content-addressed sweep store: the
-        # spec below reproduces this call's samples exactly (seeded sampling
-        # draws load i with seed + i on both paths), so a repeated
-        # distribution with the same seed/spec is a cache hit.
-        from repro.sweep import (
-            BatteryConfig,
-            LoadAxis,
-            ResultStore,
-            SweepRunner,
-            SweepSpec,
-        )
-
-        if loads is not None:
-            axis = LoadAxis.explicit(list(loads), label="montecarlo")
-        else:
-            axis = LoadAxis.random(n_samples, seed=seed, config=load_config)
+    if engine == "scalar" or not all(isinstance(policy, str) for policy in policies):
+        sample_loads = [load for _, load in axis.resolve()]
+        columns: Dict[str, Sequence[Optional[float]]] = {}
+        for name, policy in zip(names, policies):
+            if name == OPTIMAL_POLICY:
+                columns[name] = [
+                    find_optimal_schedule(
+                        params,
+                        load,
+                        backend=backend,
+                        dominance_tolerance=dominance_tolerance,
+                        max_nodes=optimal_max_nodes,
+                    ).lifetime
+                    for load in sample_loads
+                ]
+            else:
+                columns[name] = [
+                    simulate_policy(params, load, policy, backend=backend).lifetime
+                    for load in sample_loads
+                ]
+        executed_engine = "scalar"
+    else:
+        # An rng stream is not reproducible from a spec, so it never
+        # addresses a store entry.
+        store = None if cache_dir is None or rng is not None else ResultStore(cache_dir)
         spec = SweepSpec(
             name="montecarlo",
             batteries=(BatteryConfig(label="batteries", params=tuple(params)),),
             loads=(axis,),
             policies=tuple(names),
             backend=backend,
+            # Chunks are the store's resume unit; in memory one chunk keeps
+            # the whole sample set in a single vectorized batch (the event
+            # loop costs per chunk).
+            chunk_size=DEFAULT_CHUNK_SIZE if store is not None else n_samples,
         )
-        if optimal_requested:
+        if OPTIMAL_POLICY in names:
             spec = spec.with_optimal(
                 max_nodes=optimal_max_nodes,
                 dominance_tolerance=dominance_tolerance,
             )
-        sweep_result = SweepRunner(ResultStore(cache_dir)).run(spec)
-        for name in names:
-            per_sample[name] = _require_lifetimes(
-                sweep_result.per_sample[name], name
-            )
-    else:
-        if engine == "batch" and sim_names:
-            simulator = BatchSimulator(
-                params,
-                backend=backend,
-                time_step=time_step,
-                charge_unit=charge_unit,
-            )
-            results = simulator.run_many(get_scenarios(), list(sim_policies))
-            for name in sim_names:
-                per_sample[name] = _require_lifetimes(
-                    results[name].lifetimes.tolist(), name
-                )
-        else:
-            for name, policy in sim_pairs:
-                if isinstance(policy, VectorPolicy):
-                    raise ValueError(
-                        f"the scalar engine cannot run vector policy {name!r}; "
-                        "pass its registry name or a SchedulingPolicy instead"
-                    )
-                if n_workers > 1 and isinstance(policy, str):
-                    # The worker partial binds *every* solver setting; the
-                    # discretization knobs were once dropped here, silently
-                    # running multiprocessing sweeps on the default grid.
-                    worker = functools.partial(
-                        simulate_lifetimes_chunk,
-                        params=tuple(params),
-                        policy_name=policy,
-                        backend=backend,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                    )
-                    lifetimes = run_chunked(
-                        worker, get_scenarios().loads, n_workers=n_workers
-                    )
-                else:
-                    # Policy objects are not safely picklable (state, custom
-                    # classes), so they always run inline.
-                    lifetimes = [
-                        simulate_policy(
-                            params,
-                            load,
-                            policy,
-                            backend=backend,
-                            time_step=time_step,
-                            charge_unit=charge_unit,
-                        ).lifetime
-                        for load in get_scenarios().loads
-                    ]
-                per_sample[name] = _require_lifetimes(lifetimes, name)
+        columns = SweepRunner(store).run(spec).per_sample
+        vectorized = backend in VECTOR_MODELS and all(
+            has_vector_policy(name) for name in names if name != OPTIMAL_POLICY
+        )
+        executed_engine = "batch" if vectorized else "scalar"
 
-        if optimal_requested:
-            if n_workers > 1:
-                worker = functools.partial(
-                    optimal_lifetimes_chunk,
-                    params=tuple(params),
-                    backend=backend,
-                    max_nodes=optimal_max_nodes,
-                    dominance_tolerance=dominance_tolerance,
-                    time_step=time_step,
-                    charge_unit=charge_unit,
-                )
-                optima = run_chunked(
-                    worker, get_scenarios().loads, n_workers=n_workers
-                )
-            elif executed_engine == "batch":
-                # One batched branch-and-bound search per sample, through
-                # the same engine kernels as the policy sweep.
-                optima = [
-                    result.lifetime
-                    for result in optimal_schedules_batch(
-                        get_scenarios().loads,
-                        params,
-                        model=backend,
-                        max_nodes=optimal_max_nodes,
-                        dominance_tolerance=dominance_tolerance,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                    )
-                ]
-            else:
-                optima = [
-                    find_optimal_schedule(
-                        params,
-                        load,
-                        backend=backend,
-                        time_step=time_step,
-                        charge_unit=charge_unit,
-                        dominance_tolerance=dominance_tolerance,
-                        max_nodes=optimal_max_nodes,
-                    ).lifetime
-                    for load in get_scenarios().loads
-                ]
-            per_sample[OPTIMAL_POLICY] = _require_lifetimes(optima, OPTIMAL_POLICY)
-
-    # Column order follows the request order (optimal included wherever the
-    # caller listed it; legacy include_optimal appends it last).
-    per_sample = {name: per_sample[name] for name in names}
+    per_sample = {name: _require_lifetimes(columns[name], name) for name in names}
     distributions = {
         policy: LifetimeDistribution.from_samples(policy, lifetimes)
         for policy, lifetimes in per_sample.items()
@@ -446,7 +315,7 @@ def lifetime_distribution(
 
     Kept for the original call sites (tests, benchmarks, examples); new code
     should call :func:`run_montecarlo`, which also exposes the engine
-    selection, an explicit ``rng`` and multiprocessing workers.
+    selection, explicit loads or ``rng`` and the result store.
     """
     return run_montecarlo(
         params,
@@ -459,7 +328,6 @@ def lifetime_distribution(
         backend=backend,
         optimal_max_nodes=optimal_max_nodes,
     )
-
 
 def render_distributions(result: MonteCarloResult) -> str:
     """Plain-text table of the lifetime distributions."""

@@ -17,7 +17,7 @@ The pseudo-policy ``"optimal"`` (see :meth:`SweepSpec.with_optimal`) is a
 first-class column: each scenario runs one batched branch-and-bound search
 (:mod:`repro.engine.optimal_batch`), per-scenario ``complete`` masks are
 stored alongside the lifetimes, and searches that hit the node cap fall
-back to the scalar depth-first worker for a better certified lower bound.
+back to the scalar depth-first search for a better certified lower bound.
 Grid points that share a load and differ only along a monotone capacity
 axis are searched in ascending order, each completed search seeding the
 next point's incumbent (spec-level dominance pruning): expanded-node
@@ -503,7 +503,7 @@ class SweepRunner:
         lower bound; `optimal_schedules_batch` first re-runs a *seeded*
         capped search without the seed (capped outcomes must not depend on
         seeding) and then re-drives capped scenarios through the scalar
-        depth-first worker (:func:`repro.engine.parallel.
+        depth-first search (:func:`repro.engine.parallel.
         optimal_schedules_chunk`, whose incumbent goes deeper under the
         same node budget), keeping the better *whole* result -- lifetime,
         decision count and residual charge stay mutually consistent --

@@ -144,8 +144,11 @@ class LoadAxis:
       sweeps and ``run_montecarlo`` share cache entries.
     * ``"generator"`` -- one load built by a registered generator from
       :data:`repro.workloads.generator.LOAD_GENERATOR_REGISTRY`.
-    * ``"explicit"`` -- loads embedded epoch by epoch (used when a caller
-      already holds ``Load`` objects, e.g. the Monte-Carlo cache path).
+    * ``"explicit"`` -- the caller's own ``Load`` objects (e.g. Monte-Carlo
+      runs on given or ``rng``-drawn loads).  The payload holds them as they
+      are; only :meth:`to_dict` (and therefore the spec hash and the store
+      manifest) writes them out epoch by epoch, so in-memory sweeps never
+      build that table.
 
     Resolution returns ``(group_label, load)`` pairs; all samples of a
     random axis share one group label, so aggregation naturally summarizes
@@ -205,16 +208,7 @@ class LoadAxis:
             raise ValueError("an explicit load axis needs at least one load")
         return LoadAxis(
             kind="explicit",
-            payload={
-                "label": label or "explicit",
-                "loads": [
-                    {
-                        "name": load.name,
-                        "epochs": [[e.current, e.duration] for e in load.epochs],
-                    }
-                    for load in loads
-                ],
-            },
+            payload={"label": label or "explicit", "loads": tuple(loads)},
         )
 
     # -- resolution ----------------------------------------------------- #
@@ -242,16 +236,7 @@ class LoadAxis:
             load = make_load(self.payload["name"], **dict(self.payload["kwargs"]))
             return [(self.payload["label"], load)]
         label = self.payload["label"]
-        loads = [
-            Load(
-                name=entry["name"],
-                epochs=tuple(
-                    Epoch(current=current, duration=duration)
-                    for current, duration in entry["epochs"]
-                ),
-            )
-            for entry in self.payload["loads"]
-        ]
+        loads = self.payload["loads"]
         if len(loads) == 1:
             return [(loads[0].name or label, loads[0])]
         return [(label, load) for load in loads]
@@ -272,17 +257,30 @@ class LoadAxis:
         if self.kind == "generator":
             return [self.payload["label"]]
         label = self.payload["label"]
-        entries = self.payload["loads"]
-        if len(entries) == 1:
-            return [entries[0]["name"] or label]
-        return [label] * len(entries)
+        loads = self.payload["loads"]
+        if len(loads) == 1:
+            return [loads[0].name or label]
+        return [label] * len(loads)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "payload": _plain(self.payload)}
 
     @staticmethod
     def from_dict(payload: Mapping) -> "LoadAxis":
-        return LoadAxis(kind=str(payload["kind"]), payload=dict(payload["payload"]))
+        kind = str(payload["kind"])
+        content = dict(payload["payload"])
+        if kind == "explicit":
+            content["loads"] = tuple(
+                Load(
+                    name=entry["name"],
+                    epochs=tuple(
+                        Epoch(current=current, duration=duration)
+                        for current, duration in entry["epochs"]
+                    ),
+                )
+                for entry in content["loads"]
+            )
+        return LoadAxis(kind=kind, payload=content)
 
 
 # --------------------------------------------------------------------- #
@@ -378,7 +376,16 @@ def optimal_seed_chains(points: Sequence["ScenarioPoint"]) -> List[List[int]]:
 
 
 def _plain(value):
-    """Recursively convert mappings/sequences to JSON-serializable plain types."""
+    """Recursively convert mappings/sequences to JSON-serializable plain types.
+
+    A ``Load`` (the content of an explicit axis) becomes its name and its
+    ``[current, duration]`` pairs; epoch labels affect no simulated number.
+    """
+    if isinstance(value, Load):
+        return {
+            "name": value.name,
+            "epochs": [[e.current, e.duration] for e in value.epochs],
+        }
     if isinstance(value, Mapping):
         return {str(key): _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -16,15 +16,12 @@ from repro.analysis.montecarlo import LifetimeDistribution, run_montecarlo
 from repro.core.simulator import simulate_policy
 from repro.engine import (
     BatchSimulator,
-    ChunkedExecutor,
     KernelParams,
     ScenarioSet,
     VectorPolicyStack,
     available_charge_array,
     initial_state_array,
     make_vector_policy,
-    run_chunked,
-    simulate_lifetimes_chunk,
     step_constant_current_array,
     time_to_empty_array,
 )
@@ -37,15 +34,6 @@ from repro.workloads.load import Load, idle_epoch, job_epoch
 SMALL = BatteryParameters(capacity=1.0, c=0.166, k_prime=0.122, name="small")
 SMALLER = BatteryParameters(capacity=0.7, c=0.166, k_prime=0.122, name="smaller")
 
-
-def _double_chunk(chunk):
-    """Module-level (picklable) identity-ish worker for executor tests."""
-    return [item * 2 for item in chunk]
-
-
-def _drop_last_of_chunk(chunk):
-    """Misbehaving worker: returns one result fewer than items."""
-    return [item for item in chunk][:-1]
 
 FAST_CONFIG = RandomLoadConfig(
     levels=(0.25, 0.5),
@@ -345,54 +333,6 @@ class TestFallbacks:
         )
         scalar = simulate_policy([SMALL, SMALL], loads[0], RandomPolicy(seed=3))
         assert batch.lifetimes[0] == scalar.lifetime
-
-
-class TestParallelExecutor:
-    def test_inline_worker(self):
-        loads = [generate_random_load(900 + i, FAST_CONFIG) for i in range(5)]
-        import functools
-
-        worker = functools.partial(
-            simulate_lifetimes_chunk, params=(SMALL, SMALL), policy_name="sequential"
-        )
-        lifetimes = run_chunked(worker, loads, n_workers=1, chunk_size=2)
-        assert len(lifetimes) == 5
-        for load, lifetime in zip(loads, lifetimes):
-            assert lifetime == simulate_policy([SMALL, SMALL], load, "sequential").lifetime
-
-    def test_multiprocess_worker_matches_inline(self):
-        loads = [generate_random_load(950 + i, FAST_CONFIG) for i in range(4)]
-        import functools
-
-        worker = functools.partial(
-            simulate_lifetimes_chunk, params=(SMALL, SMALL), policy_name="round-robin"
-        )
-        inline = run_chunked(worker, loads, n_workers=1)
-        forked = run_chunked(worker, loads, n_workers=2, chunk_size=2)
-        assert inline == forked
-
-    def test_chunked_executor_pins_configuration(self):
-        executor = ChunkedExecutor(n_workers=1, chunk_size=3)
-        assert executor.map(lambda chunk: [x * 2 for x in chunk], range(7)) == [
-            0, 2, 4, 6, 8, 10, 12,
-        ]
-
-    @pytest.mark.parametrize("n_workers", [1, 3])
-    def test_order_preserved_with_lazy_ragged_chunks(self, n_workers):
-        """Chunks are sliced per dispatch (no prebuilt chunk list); results
-        must still come back in item order, including a ragged final chunk
-        and more chunks than workers."""
-        items = list(range(23))
-        got = run_chunked(_double_chunk, items, n_workers=n_workers, chunk_size=4)
-        assert got == [item * 2 for item in items]
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_wrong_length_worker_output_is_rejected(self, n_workers):
-        with pytest.raises(ValueError, match="results for a chunk"):
-            run_chunked(
-                _drop_last_of_chunk, list(range(8)), n_workers=n_workers,
-                chunk_size=4,
-            )
 
 
 class TestMonteCarloEngines:

@@ -8,7 +8,10 @@ from repro.analysis.montecarlo import (
     render_distributions,
     run_montecarlo,
 )
+from repro.engine import BatchSimulator, ScenarioSet, make_vector_policy
 from repro.kibam.parameters import BatteryParameters
+from repro.sweep import ResultStore, SweepRunner
+from repro.sweep.spec import DEFAULT_CHUNK_SIZE
 from repro.workloads.generator import RandomLoadConfig
 
 SMALL = BatteryParameters(capacity=1.0, c=0.166, k_prime=0.122, name="small")
@@ -84,40 +87,96 @@ class TestMonteCarloSweep:
             lifetime_distribution([SMALL], n_samples=0)
 
 
-class TestWorkerParameterThreading:
-    """Regression: the multiprocessing worker partials dropped the solver
-    settings -- ``n_workers > 1`` silently simulated the hard-coded 0.01
-    dKiBaM grid and 0.005 dominance tolerance whatever the caller asked
-    for.  Every setting must now thread through both the policy worker and
-    the optimal worker, so a parallel run reproduces the inline scalar path
-    exactly at a non-default grid."""
+POLICIES = ("sequential", "round-robin", "best-of-two")
 
-    KWARGS = dict(
-        n_samples=2,
-        policies=("sequential", "optimal"),
-        config=FAST_CONFIG,
-        seed=2,
-        engine="scalar",
-        model="discrete",
-        time_step=0.05,
-        charge_unit=0.05,
-        dominance_tolerance=0.0,
-        optimal_max_nodes=4000,
-    )
 
-    def test_parallel_workers_honor_solver_settings(self):
-        inline = run_montecarlo([SMALL, SMALL], n_workers=1, **self.KWARGS)
-        parallel = run_montecarlo([SMALL, SMALL], n_workers=2, **self.KWARGS)
-        assert parallel.per_sample == inline.per_sample
+class TestRunnerPath:
+    """``run_montecarlo`` runs through the sweep runner: in memory as one
+    chunk (a single vectorized batch), with a store in
+    ``DEFAULT_CHUNK_SIZE`` chunks, which are the store's resume unit."""
 
-    def test_non_default_grid_changes_the_numbers(self):
-        """Sanity guard for the regression test above: at the reference
-        grid the lifetimes differ from the 0.05 grid, so a worker that
-        fell back to the defaults could not pass the parity assertion."""
-        coarse = run_montecarlo([SMALL, SMALL], n_workers=1, **self.KWARGS)
-        reference = run_montecarlo(
-            [SMALL, SMALL],
-            n_workers=1,
-            **{**self.KWARGS, "time_step": 0.01, "charge_unit": 0.01},
+    @pytest.mark.parametrize("model", ["analytical", "discrete"])
+    def test_in_memory_run_is_one_batch(self, model, tmp_path, monkeypatch):
+        n_samples = 300
+        assert n_samples > DEFAULT_CHUNK_SIZE
+        chunk_sizes = []
+        run_chunk = SweepRunner._run_chunk
+
+        def counting_run_chunk(runner, spec, points):
+            chunk_sizes.append(len(points))
+            return run_chunk(runner, spec, points)
+
+        monkeypatch.setattr(SweepRunner, "_run_chunk", counting_run_chunk)
+        kwargs = dict(
+            n_samples=n_samples, policies=POLICIES, config=FAST_CONFIG,
+            seed=17, model=model,
         )
-        assert coarse.per_sample != reference.per_sample
+        direct = BatchSimulator([SMALL, SMALL], model=model).run_many(
+            ScenarioSet.random(n_samples, FAST_CONFIG, seed=17), POLICIES
+        )
+        result = run_montecarlo([SMALL, SMALL], **kwargs)
+        assert chunk_sizes == [n_samples]
+        assert result.engine == "batch"
+        for policy in POLICIES:
+            assert result.per_sample[policy] == direct[policy].lifetimes.tolist()
+
+        cache = tmp_path / "store"
+        stored = run_montecarlo([SMALL, SMALL], cache_dir=str(cache), **kwargs)
+        assert chunk_sizes == [
+            n_samples, DEFAULT_CHUNK_SIZE, n_samples - DEFAULT_CHUNK_SIZE
+        ]
+        [entry] = ResultStore(cache).entries()
+        assert entry.complete and entry.n_chunks == 2
+        for policy in POLICIES:
+            assert stored.per_sample[policy] == pytest.approx(
+                result.per_sample[policy], abs=1e-9
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs, spec_hash",
+        [
+            (dict(n_samples=25, seed=13), "928400bb3b3dee30"),
+            (
+                dict(n_samples=3, seed=5, policies=("sequential", "optimal")),
+                "ffe231407b914dca",
+            ),
+            (dict(n_samples=300, seed=13, model="discrete"), "14015c2474738888"),
+        ],
+    )
+    def test_existing_store_entries_stay_addressable(self, kwargs, spec_hash, tmp_path):
+        """Store entries written by earlier releases must keep their hash."""
+        cache = tmp_path / "store"
+        run_montecarlo(
+            [SMALL, SMALL], config=FAST_CONFIG, engine="batch",
+            cache_dir=str(cache), **kwargs,
+        )
+        assert [entry.spec_hash for entry in ResultStore(cache).entries()] == [
+            spec_hash
+        ]
+
+    def test_linear_model_runs_through_the_runner(self, tmp_path):
+        kwargs = dict(
+            n_samples=3, policies=("sequential", "best-of-two", "optimal"),
+            config=FAST_CONFIG, seed=4, model="linear", optimal_max_nodes=500,
+        )
+        runner = run_montecarlo([SMALL, SMALL], engine="auto", **kwargs)
+        scalar = run_montecarlo([SMALL, SMALL], engine="scalar", **kwargs)
+        assert runner.engine == scalar.engine == "scalar"
+        assert runner.per_sample == scalar.per_sample
+
+        cache = tmp_path / "store"
+        run_montecarlo([SMALL, SMALL], engine="auto", cache_dir=str(cache), **kwargs)
+        [entry] = ResultStore(cache).entries()
+        assert entry.complete
+
+    @pytest.mark.parametrize("knob", ["n_workers", "time_step", "charge_unit"])
+    def test_removed_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            run_montecarlo([SMALL, SMALL], n_samples=2, config=FAST_CONFIG, **{knob: 2})
+
+    def test_vector_policy_objects_are_rejected(self):
+        with pytest.raises(TypeError, match="vector policy"):
+            run_montecarlo(
+                [SMALL, SMALL], n_samples=2, config=FAST_CONFIG,
+                policies=(make_vector_policy("sequential"),),
+            )

@@ -205,6 +205,30 @@ class TestLoadAxes:
             [(e.current, e.duration) for e in load.epochs] for load in resolved
         ] == [[(e.current, e.duration) for e in load.epochs] for load in loads]
 
+    def test_explicit_axis_hands_out_the_given_loads(self):
+        """An in-process explicit axis resolves to the caller's own ``Load``
+        objects; a deserialized one rebuilds the same epochs from the
+        serialized form, which alone decides the hash."""
+        loads = ScenarioSet.random(3, FAST_CONFIG, seed=0).loads
+        axis = LoadAxis.explicit(loads, label="mc")
+        assert all(got is given for (_, got), given in zip(axis.resolve(), loads))
+        rebuilt = LoadAxis.from_dict(json.loads(json.dumps(axis.to_dict())))
+        assert rebuilt.to_dict() == axis.to_dict()
+        specs = [
+            SweepSpec(
+                name="mc",
+                batteries=(BatteryConfig(label="2xSMALL", params=(SMALL, SMALL)),),
+                loads=(candidate,),
+                policies=("sequential",),
+            )
+            for candidate in (axis, rebuilt)
+        ]
+        assert specs[0].spec_hash() == specs[1].spec_hash()
+        assert [
+            [(e.current, e.duration) for e in load.epochs]
+            for _, load in rebuilt.resolve()
+        ] == [[(e.current, e.duration) for e in load.epochs] for load in loads]
+
     def test_labels_agree_with_resolution(self):
         for axis in (
             LoadAxis.paper(["CL 250", "CL 500"]),
