@@ -21,9 +21,8 @@ Usage::
 import argparse
 import time
 
-from repro import B1, run_montecarlo, simulate_policy
+from repro import B1, run_montecarlo
 from repro.analysis.montecarlo import render_distributions
-from repro.engine import ScenarioSet
 from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
 
 POLICIES = ("sequential", "round-robin", "best-of-two")
@@ -73,23 +72,23 @@ def main() -> None:
     print(f"mean gain of best-of-two over round robin: {gain:.2f} %")
 
     if args.compare:
-        # Sample i is drawn with seed + i, so generating just the subset
+        # Sample i is drawn with seed + i, so sampling just the subset
         # reproduces the first `subset` loads of the sweep above exactly.
         subset = min(args.samples, 30)
-        loads = ScenarioSet.random(subset, config, seed=args.seed).loads
         start = time.perf_counter()
-        scalar = {
-            policy: [
-                simulate_policy(params, load, policy).lifetime
-                for load in loads
-            ]
-            for policy in POLICIES
-        }
+        scalar = run_montecarlo(
+            params,
+            n_samples=subset,
+            policies=POLICIES,
+            config=config,
+            seed=args.seed,
+            engine="scalar",
+        )
         scalar_seconds = time.perf_counter() - start
         worst = max(
             abs(scalar_value - summary.per_sample[policy][index])
             for policy in POLICIES
-            for index, scalar_value in enumerate(scalar[policy])
+            for index, scalar_value in enumerate(scalar.per_sample[policy])
         )
         scalar_rate = subset * len(POLICIES) / scalar_seconds
         print(

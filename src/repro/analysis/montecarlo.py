@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.core.optimal import find_optimal_schedule
 from repro.core.simulator import simulate_policy
-from repro.engine.batch import VECTOR_MODELS, resolve_model
+from repro.engine.batch import resolve_model
+from repro.engine.kernels import VECTOR_MODELS
 from repro.engine.policies import VectorPolicy, has_vector_policy
 from repro.kibam.parameters import BatteryParameters
 from repro.sweep.runner import SweepRunner

@@ -7,14 +7,16 @@ thousands of scenarios per NumPy call:
 
 * :mod:`repro.engine.kernels` -- vectorized closed-form KiBaM stepping and
   empty-crossing search over ``(n_scenarios, n_batteries, 2)`` state arrays
-  (the array form of Section 2.2 of the paper),
+  (the array form of Section 2.2 of the paper), and
+  :func:`discrete_segment_array`, the one event-jumping dKiBaM kernel
+  (Section 2.3), exact to the tick,
 * :mod:`repro.engine.policies` -- array implementations of the scheduling
   policies of Section 6, bit-compatible with the scalar tie-breaking,
 * :mod:`repro.engine.scenarios` -- :class:`ScenarioSet`, a batch of loads in
   padded-array form,
-* :mod:`repro.engine.batch` -- :class:`BatchSimulator`, the lock-step event
-  loop with masking of dead scenarios and a scalar fallback for
-  non-vectorizable policies/backends,
+* :mod:`repro.engine.batch` -- :class:`BatchSimulator`, one lock-step event
+  loop over an analytical or a dKiBaM lane kernel, with masking of dead
+  scenarios and a scalar fallback for non-vectorizable policies/backends,
 * :mod:`repro.engine.optimal_batch` -- :class:`BatchOptimalScheduler`, the
   best-first branch-and-bound whose frontier bounds and between-decision
   battery advances run as batched kernels (Section 4's optimal schedules at
@@ -26,21 +28,21 @@ The scalar simulator remains the golden reference; the test suite pins the
 two paths to within 1e-9 minutes on random loads.
 """
 
-from repro.engine.batch import VECTOR_MODELS, BatchResult, BatchSimulator
+from repro.engine.batch import BatchResult, BatchSimulator
 from repro.engine.optimal_batch import (
-    BATCH_OPTIMAL_MODELS,
     BatchOptimalScheduler,
     DecisionTrace,
     FrontierArrays,
     VectorDominanceArchive,
-    discrete_segment_array,
     find_optimal_schedule_batched,
     optimal_schedules_batch,
 )
 from repro.engine.kernels import (
+    VECTOR_MODELS,
     DiscreteKernelParams,
     KernelParams,
     available_charge_array,
+    discrete_segment_array,
     empty_margin_array,
     initial_state_array,
     step_constant_current_array,
@@ -63,7 +65,6 @@ from repro.engine.policies import (
 from repro.engine.scenarios import DiscreteScenarioArrays, ScenarioSet
 
 __all__ = [
-    "BATCH_OPTIMAL_MODELS",
     "BatchDecisionContext",
     "BatchOptimalScheduler",
     "BatchResult",

@@ -16,16 +16,18 @@ mid-job switchover rule -- so batch lifetimes match scalar lifetimes to
 within the root-finder tolerance (far below 1e-9 minutes; the test suite
 pins this).
 
-Two battery models run vectorized.  ``model="analytical"`` advances whole
-constant-current spans through the closed-form kernels.  ``model=
-"discrete"`` (the dKiBaM of Section 2.3) has no closed form -- the scalar
-reference walks it one tick at a time -- so the batch loop advances integer
-``(n, m)`` charge-unit arrays *event to event*: between draw, recovery and
-epoch events every counter moves linearly, so each iteration jumps every
-scenario straight to its own next event and replays that single tick
-exactly (recovery before discharge, the equation-(7) Bresenham draw
-accumulator per serving lane, emptiness checked per drawn unit).  Because
-the state is integers, the parity bar with the scalar dKiBaM is exact
+The loop is written once, over a *lane kernel* per battery model that holds
+the battery state and its advances (serve the chosen battery up to its
+empty crossing and rest the others, or rest every live battery through an
+idle epoch).  ``model="analytical"`` (:class:`_AnalyticalLanes`) keeps float
+wells and steps whole constant-current spans through the closed-form
+kernels, in minutes.  ``model="discrete"`` (:class:`_DiscreteLanes`, the
+dKiBaM of Section 2.3) keeps integer counters and advances them with
+:func:`repro.engine.kernels.serve_and_rest_array`, the same serve-one,
+rest-the-others step over the event-jumping
+:func:`repro.engine.kernels.discrete_segment_array` that the batched
+search uses, in ticks.  Because
+that state is integers, the parity bar with the scalar dKiBaM is exact
 equality -- unit for unit, tick for tick -- not a float tolerance.
 Scenarios whose policy or battery model has no vectorized implementation
 transparently fall back to the scalar simulator, one scenario at a time.
@@ -34,6 +36,7 @@ transparently fall back to the scalar simulator, one scenario at a time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,12 +46,16 @@ from repro.core.policies import SchedulingPolicy
 from repro.core.simulator import MultiBatterySimulator
 from repro.engine.kernels import (
     DELTA,
-    DISCRETE_UNREACHABLE,
     GAMMA,
+    M_ROW,
+    N_ROW,
+    RCT_ROW,
+    VECTOR_MODELS,
     DiscreteKernelParams,
     KernelParams,
     empty_margin_array,
     initial_state_array,
+    serve_and_rest_array,
     step_constant_current_array,
     time_to_empty_array,
     total_charge_array,
@@ -69,10 +76,6 @@ from repro.workloads.load import Load
 _TIME_EPSILON = 1e-9
 #: Emptiness tolerance (Amin); identical to ``AnalyticalBattery.is_empty``.
 _EMPTY_TOLERANCE = 1e-12
-
-#: Battery models with a vectorized batch implementation; anything else
-#: runs through the scalar fallback.
-VECTOR_MODELS = ("analytical", "discrete")
 
 
 def resolve_model(model: Optional[str], backend: Optional[str]) -> str:
@@ -155,6 +158,156 @@ class BatchResult:
                 "loads to measure lifetimes"
             )
         return self.lifetimes
+
+
+class _AnalyticalLanes:
+    """Analytical-KiBaM lanes: ``(S, B, 2)`` float wells, time in minutes.
+
+    A lane kernel is everything the event loop of :class:`BatchSimulator`
+    needs to know about a battery model: the epoch span table ``spans`` in
+    its time unit, ``time_unit`` (minutes per unit), the alive test and the
+    available charge of the given scenario rows, the serve and idle
+    advances (in place on those rows), and the result fields.  Batteries
+    observed empty stay frozen, exactly like the scalar adapter's sticky
+    ``_MarkedState``.
+    """
+
+    time_unit = 1.0
+
+    def __init__(self, kp: KernelParams, scenarios: ScenarioSet) -> None:
+        self.kp = kp
+        self.currents = scenarios.currents
+        self.spans = scenarios.durations
+        self.state = initial_state_array(kp, scenarios.n_scenarios)
+        self.sticky = np.zeros(self.state.shape[:2], dtype=bool)
+
+    def alive(self, rows: np.ndarray) -> np.ndarray:
+        margin = empty_margin_array(self.kp.take(rows), self.state[rows])
+        return (~self.sticky[rows]) & (margin > _EMPTY_TOLERANCE)
+
+    def available(self, rows: np.ndarray) -> np.ndarray:
+        # The scalar battery view's available charge is
+        # ``max(0, c * margin)`` in exactly this operation order.
+        kp = self.kp.take(rows)
+        return np.maximum(0.0, kp.c * empty_margin_array(kp, self.state[rows]))
+
+    def serve(self, rows, epochs, choice, remaining):
+        """Serve each row's job on ``choice`` up to its crossing, idle the rest.
+
+        Returns ``(crossed, span)``; a crossed battery is marked empty.
+        """
+        current = self.currents[rows, epochs]
+        c_chosen, k_chosen = self.kp.take(rows).battery(choice)
+        crossing, crossed = time_to_empty_array(
+            c_chosen,
+            k_chosen,
+            self.state[rows, choice, GAMMA],
+            self.state[rows, choice, DELTA],
+            current,
+            remaining,
+        )
+        span = np.where(crossed, crossing, remaining)
+        battery_currents = np.zeros((rows.size, self.state.shape[1]))
+        battery_currents[np.arange(rows.size), choice] = current
+        self._advance(rows, battery_currents, span)
+        self.sticky[rows[crossed], choice[crossed]] = True
+        return crossed, span
+
+    def idle(self, rows, span) -> None:
+        """Rest every battery of ``rows`` for ``span`` minutes."""
+        self._advance(rows, np.zeros((rows.size, self.state.shape[1])), span)
+
+    def _advance(self, rows, battery_currents, span) -> None:
+        old = self.state[rows]
+        new = step_constant_current_array(
+            self.kp.take(rows), old, battery_currents, span[:, None]
+        )
+        self.state[rows] = np.where(self.sticky[rows][:, :, None], old, new)
+
+    def fields(self, lifetime: np.ndarray) -> dict:
+        return dict(
+            lifetimes=np.where(lifetime < 0, np.nan, lifetime),
+            residual_charge=np.sum(total_charge_array(self.state), axis=1),
+            final_states=self.state,
+        )
+
+
+class _DiscreteLanes:
+    """dKiBaM lanes: ``(S, 6, B)`` int64 counters, time in ticks.
+
+    Rows :data:`~repro.engine.kernels.N_ROW` ..
+    :data:`~repro.engine.kernels.RCT_ROW` hold each battery's dKiBaM
+    counters, in the layout of the batched search's node states, and every
+    advance is the search's exact integer event jump,
+    :func:`serve_and_rest_array` with per-scenario parameter rows, so the
+    batch agrees with the scalar tick loop unit for unit.  See
+    :class:`_AnalyticalLanes` for the kernel interface.
+    """
+
+    def __init__(self, dkp: DiscreteKernelParams, scenarios: ScenarioSet) -> None:
+        n_scen = scenarios.n_scenarios
+        self.dp = dkp.expanded(n_scen)
+        self.q = 1000 - self.dp.c_permille
+        self.time_unit = dkp.time_step
+        darr = scenarios.discretized(dkp.time_step, dkp.charge_unit)
+        self.cur, self.cur_times, self.spans = darr.cur, darr.cur_times, darr.ticks
+        self.state = np.zeros((n_scen, 6, dkp.n_batteries), dtype=np.int64)
+        self.state[:, N_ROW] = self.dp.total_units
+        self.state[:, RCT_ROW] = 1
+        self.empty = np.zeros((n_scen, dkp.n_batteries), dtype=bool)
+        self._step = functools.partial(
+            serve_and_rest_array,
+            self.dp.tables,
+            self.dp.table_id,
+            self.dp.c_permille,
+            self.state,
+        )
+
+    def alive(self, rows: np.ndarray) -> np.ndarray:
+        n, m = self.state[rows, N_ROW], self.state[rows, M_ROW]
+        crit = self.q[rows] * m >= self.dp.c_permille[rows] * n
+        return ~self.empty[rows] & ~crit
+
+    def available(self, rows: np.ndarray) -> np.ndarray:
+        # The scalar battery view computes
+        # ``max(0, c * (n * Gamma - (1 - c) * (m * Delta)))`` in exactly
+        # this operation order.
+        gamma = self.state[rows, N_ROW] * self.dp.charge_unit
+        delta = self.state[rows, M_ROW] * self.dp.height_unit[rows]
+        c = self.dp.c[rows]
+        return np.maximum(0.0, c * (gamma - (1.0 - c) * delta))
+
+    def serve(self, rows, epochs, choice, remaining):
+        """Serve each row's job on ``choice`` up to its empty tick, idle the rest.
+
+        Returns ``(crossed, span)``; a crossed battery is marked empty.
+        """
+        crossed, span = self._step(
+            rows,
+            ~self.empty[rows],
+            remaining,
+            choice,
+            self.cur[rows, epochs],
+            self.cur_times[rows, epochs],
+        )
+        self.empty[rows[crossed], choice[crossed]] = True
+        return crossed, span
+
+    def idle(self, rows, span) -> None:
+        """Rest every live battery of ``rows`` for ``span`` ticks."""
+        self._step(rows, ~self.empty[rows], span)
+
+    def fields(self, lifetime: np.ndarray) -> dict:
+        n, m = self.state[:, N_ROW], self.state[:, M_ROW]
+        gamma = n * self.dp.charge_unit
+        delta = m * self.dp.height_unit
+        return dict(
+            lifetimes=np.where(lifetime < 0, np.nan, lifetime * self.time_unit),
+            residual_charge=np.sum(gamma, axis=1),
+            final_states=np.stack([gamma, delta], axis=-1),
+            lifetime_ticks=lifetime,
+            charge_units=np.stack([n, m], axis=-1),
+        )
 
 
 class BatchSimulator:
@@ -240,8 +393,6 @@ class BatchSimulator:
         vector_policy = self._resolve_vector_policy(policy)
         if vector_policy is None or self.backend not in VECTOR_MODELS:
             return self._run_fallback(scenarios, policy)
-        if self.backend == "discrete":
-            return self._run_discrete(scenarios, vector_policy)
         return self._run_vectorized(scenarios, vector_policy)
 
     def run_many(
@@ -275,15 +426,7 @@ class BatchSimulator:
         vector = [v for _, v in resolved if v is not None]
         if self.backend in VECTOR_MODELS and len(vector) > 1:
             stack = VectorPolicyStack(vector, scenarios.n_scenarios)
-            tiled = scenarios.tiled(len(vector))
-            if self.backend == "discrete":
-                stacked = self._run_discrete(
-                    tiled, stack, dkp=self._discrete_params().tiled(len(vector))
-                )
-            else:
-                stacked = self._run_vectorized(
-                    tiled, stack, kp=self._kernel_params.tiled(len(vector))
-                )
+            stacked = self._run_vectorized(scenarios, stack, times=len(vector))
             n = scenarios.n_scenarios
             for index, policy in enumerate(vector):
                 lanes = slice(index * n, (index + 1) * n)
@@ -309,28 +452,35 @@ class BatchSimulator:
         return None
 
     def _run_vectorized(
-        self,
-        scenarios: ScenarioSet,
-        policy: VectorPolicy,
-        kp: Optional[KernelParams] = None,
+        self, scenarios: ScenarioSet, policy: VectorPolicy, times: int = 1
     ) -> BatchResult:
-        kp = self._kernel_params if kp is None else kp
+        """The lock-step event loop over one lane kernel.
+
+        The batch and its parameters run as ``times`` stacked copies (one
+        per policy of a :class:`VectorPolicyStack`).  Time, spans and
+        remaining epoch lengths count in the kernel's time unit: minutes for
+        the analytical model, whole ticks for the dKiBaM.
+        """
+        scenarios = scenarios.tiled(times)
+        if self.backend == "discrete":
+            lanes = _DiscreteLanes(self._discrete_params().tiled(times), scenarios)
+        else:
+            lanes = _AnalyticalLanes(self._kernel_params.tiled(times), scenarios)
         n_scen = scenarios.n_scenarios
         n_bat = self.n_batteries
         currents = scenarios.currents
-        durations = scenarios.durations
+        spans = lanes.spans
         n_epochs = scenarios.n_epochs
 
-        state = initial_state_array(kp, n_scen)
-        sticky = np.zeros((n_scen, n_bat), dtype=bool)
         epoch_idx = np.full(n_scen, -1, dtype=np.int64)
         cur_current = np.zeros(n_scen)
-        remaining = np.zeros(n_scen)
-        time = np.zeros(n_scen)
+        remaining = np.zeros(n_scen, dtype=spans.dtype)
+        time = np.zeros(n_scen, dtype=spans.dtype)
         job_index = np.full(n_scen, -1, dtype=np.int64)
         prev_choice = np.full(n_scen, -1, dtype=np.int64)
         decisions = np.zeros(n_scen, dtype=np.int64)
-        lifetime = np.full(n_scen, np.nan)
+        # Time of death; -1 while the scenario lives (or if it survives).
+        lifetime = np.full(n_scen, -1, dtype=spans.dtype)
         switchover = np.zeros(n_scen, dtype=bool)
         active = np.ones(n_scen, dtype=bool)
 
@@ -340,27 +490,25 @@ class BatchSimulator:
         while act.size:
             # ---- advance scenarios whose current epoch is finished.  A job
             # epoch is finished when less than the span epsilon remains (the
-            # scalar simulator's ``while remaining > eps``); an idle epoch is
-            # consumed whole in one span, so it is finished when remaining
-            # hits zero exactly.
+            # scalar simulator's ``while remaining > eps``; zero ticks for
+            # the dKiBaM); an idle epoch is consumed whole in one span, so it
+            # is finished when remaining hits zero exactly.
             while True:
                 cur_a = cur_current[act]
                 rem_a = remaining[act]
-                finished = np.where(
-                    cur_a > 0.0, rem_a <= _TIME_EPSILON, rem_a == 0.0
-                )
+                finished = np.where(cur_a > 0.0, rem_a <= _TIME_EPSILON, rem_a == 0)
                 adv = act[finished]
                 if adv.size == 0:
                     break
                 epoch_idx[adv] += 1
                 exhausted = epoch_idx[adv] >= n_epochs[adv]
                 # Load ran out with batteries still usable: the scenario
-                # survived; its lifetime stays NaN.
+                # survived; its lifetime stays -1.
                 active[adv[exhausted]] = False
                 live = adv[~exhausted]
                 if live.size:
                     cur_current[live] = currents[live, epoch_idx[live]]
-                    remaining[live] = durations[live, epoch_idx[live]]
+                    remaining[live] = spans[live, epoch_idx[live]]
                     entered_job = cur_current[live] > 0.0
                     job_index[live[entered_job]] += 1
                     switchover[live] = False
@@ -369,411 +517,80 @@ class BatchSimulator:
             if act.size == 0:
                 break
 
-            cur = cur_current[act]
-            is_idle = cur == 0.0
+            is_idle = cur_current[act] == 0.0
             idle_lanes = act[is_idle]
             job_lanes = act[~is_idle]
 
+            # ---- idle epochs rest every live battery for the whole epoch.
+            if idle_lanes.size:
+                lanes.idle(idle_lanes, remaining[idle_lanes])
+                time[idle_lanes] += remaining[idle_lanes]
+                remaining[idle_lanes] = 0
+
+            if job_lanes.size == 0:
+                continue
             # ---- scheduling decisions for the job lanes.
-            deciding = job_lanes
-            choice = np.empty(0, dtype=np.int64)
-            crossed = np.zeros(0, dtype=bool)
-            crossing = np.empty(0)
-            if job_lanes.size:
-                margin = empty_margin_array(kp.take(job_lanes), state[job_lanes])
-                alive = (~sticky[job_lanes]) & (margin > _EMPTY_TOLERANCE)
-                any_alive = np.any(alive, axis=1)
-                dead = job_lanes[~any_alive]
+            alive = lanes.alive(job_lanes)
+            any_alive = np.any(alive, axis=1)
+            dead = job_lanes[~any_alive]
+            if dead.size:
+                # A job arrived and no battery can serve it: the system
+                # died the moment the previous span ended.
+                lifetime[dead] = time[dead]
+                active[dead] = False
+                act = act[active[act]]
+            deciding = job_lanes[any_alive]
+            if deciding.size == 0:
+                continue
+            alive = alive[any_alive]
+            context = BatchDecisionContext(
+                lanes=deciding,
+                available_charge=lanes.available(deciding),
+                alive=alive,
+                current=cur_current[deciding],
+                time=time[deciding] * lanes.time_unit,
+                job_index=job_index[deciding],
+                is_switchover=switchover[deciding],
+                previous_choice=prev_choice[deciding],
+            )
+            choice = np.asarray(policy.choose(context), dtype=np.int64)
+            if choice.shape != (deciding.size,):
+                raise ValueError(
+                    f"policy {policy.name!r} returned shape {choice.shape}, "
+                    f"expected ({deciding.size},)"
+                )
+            if np.any((choice < 0) | (choice >= n_bat)):
+                raise ValueError(
+                    f"policy {policy.name!r} chose a battery that does not exist"
+                )
+            if not np.all(alive[np.arange(deciding.size), choice]):
+                raise ValueError(
+                    f"policy {policy.name!r} chose a battery that is already empty"
+                )
+            decisions[deciding] += 1
+            prev_choice[deciding] = choice
+
+            # ---- serve each job up to the chosen battery's empty crossing
+            # or the end of its epoch; the other live batteries rest.
+            crossed, span = lanes.serve(
+                deciding, epoch_idx[deciding], choice, remaining[deciding]
+            )
+            time[deciding] += span
+            remaining[deciding] -= span
+            hit = deciding[crossed]
+            if hit.size:
+                died = ~np.any(lanes.alive(hit), axis=1)
+                dead = hit[died]
                 if dead.size:
-                    # A job arrived and no battery can serve it: the system
-                    # died the moment the previous span ended.
                     lifetime[dead] = time[dead]
                     active[dead] = False
                     act = act[active[act]]
-                deciding = job_lanes[any_alive]
-            if deciding.size:
-                deciding_rows = np.flatnonzero(any_alive)
-                kp_deciding = kp.take(deciding)
-                # The scalar battery view's available charge is
-                # ``max(0, c * margin)`` in exactly this operation order.
-                context = BatchDecisionContext(
-                    lanes=deciding,
-                    available_charge=np.maximum(
-                        0.0, kp_deciding.c * margin[deciding_rows]
-                    ),
-                    alive=alive[deciding_rows],
-                    current=cur_current[deciding],
-                    time=time[deciding],
-                    job_index=job_index[deciding],
-                    is_switchover=switchover[deciding],
-                    previous_choice=prev_choice[deciding],
-                )
-                choice = np.asarray(policy.choose(context), dtype=np.int64)
-                if choice.shape != (deciding.size,):
-                    raise ValueError(
-                        f"policy {policy.name!r} returned shape {choice.shape}, "
-                        f"expected ({deciding.size},)"
-                    )
-                if np.any((choice < 0) | (choice >= n_bat)):
-                    raise ValueError(
-                        f"policy {policy.name!r} chose a battery that does not exist"
-                    )
-                if not np.all(alive[deciding_rows, choice]):
-                    raise ValueError(
-                        f"policy {policy.name!r} chose a battery that is already empty"
-                    )
-                decisions[deciding] += 1
-                c_chosen, k_chosen = kp_deciding.battery(choice)
-                crossing, crossed = time_to_empty_array(
-                    c_chosen,
-                    k_chosen,
-                    state[deciding, choice, GAMMA],
-                    state[deciding, choice, DELTA],
-                    cur_current[deciding],
-                    remaining[deciding],
-                )
+                # Mid-job handover (Section 4.3): the survivors decide again
+                # if their job has time left.
+                switchover[hit[~died]] = True
 
-            # ---- one span per stepping lane: the whole epoch for idle
-            # lanes, the served slice (up to the empty crossing) for jobs.
-            stepping = np.concatenate([idle_lanes, deciding])
-            if stepping.size == 0:
-                continue
-            span = np.concatenate(
-                [
-                    remaining[idle_lanes],
-                    np.where(crossed, crossing, remaining[deciding]),
-                ]
-            )
-            battery_currents = np.zeros((stepping.size, n_bat))
-            if deciding.size:
-                job_rows = idle_lanes.size + np.arange(deciding.size)
-                battery_currents[job_rows, choice] = cur_current[deciding]
-
-            old = state[stepping]
-            new = step_constant_current_array(
-                kp.take(stepping), old, battery_currents, span[:, None]
-            )
-            # Batteries observed empty stay frozen, exactly like the scalar
-            # adapter's sticky ``_MarkedState``.
-            frozen = sticky[stepping]
-            state[stepping] = np.where(frozen[:, :, None], old, new)
-            time[stepping] += span
-            remaining[stepping] -= span
-
-            # ---- post-span bookkeeping for the job lanes.
-            if deciding.size:
-                prev_choice[deciding] = choice
-                hit = np.flatnonzero(crossed)
-                if hit.size:
-                    hit_lanes = deciding[hit]
-                    sticky[hit_lanes, choice[hit]] = True
-                    margin_after = empty_margin_array(
-                        kp.take(hit_lanes), state[hit_lanes]
-                    )
-                    alive_after = (~sticky[hit_lanes]) & (
-                        margin_after > _EMPTY_TOLERANCE
-                    )
-                    died = ~np.any(alive_after, axis=1)
-                    dead_lanes = hit_lanes[died]
-                    if dead_lanes.size:
-                        lifetime[dead_lanes] = time[dead_lanes]
-                        active[dead_lanes] = False
-                        act = act[active[act]]
-                    switchover[hit_lanes[~died]] = True
-
-        residual = np.sum(total_charge_array(state), axis=1)
         return BatchResult(
-            policy_name=policy.name,
-            lifetimes=lifetime,
-            decisions=decisions,
-            residual_charge=residual,
-            final_states=state,
-        )
-
-    # ------------------------------------------------------------------ #
-    # vectorized discrete (dKiBaM) path
-    # ------------------------------------------------------------------ #
-    def _run_discrete(
-        self,
-        scenarios: ScenarioSet,
-        policy: VectorPolicy,
-        dkp: Optional[DiscreteKernelParams] = None,
-    ) -> BatchResult:
-        """Event-jumping batch dKiBaM, exactly matching the scalar tick loop.
-
-        State per battery lane is the integer quadruple of
-        :class:`repro.kibam.discrete.DiscreteBatteryState` -- charge units
-        ``n``, height units ``m``, recovery tick counter, sticky empty flag
-        -- plus one equation-(7) draw accumulator per scenario (only the
-        serving battery accumulates; every other live battery is reset by
-        each idle tick, so the scenario-level accumulator with its
-        owner/rate tag reproduces the per-battery scalar rule exactly).
-
-        Between events every counter advances linearly, so each loop
-        iteration (a) jumps every active scenario to one tick before its
-        own next event -- next unit draw, next equation-(6) recovery step,
-        or epoch end, whichever is sooner -- in O(1) and (b) replays that
-        event tick with the full scalar tick semantics: recovery first,
-        then the draw loop with per-unit emptiness checks, then epoch /
-        switchover bookkeeping.  Dead and exhausted scenarios leave the
-        active set immediately and cost nothing afterwards.
-        """
-        dkp = self._discrete_params() if dkp is None else dkp
-        n_scen = scenarios.n_scenarios
-        n_bat = self.n_batteries
-        dp = dkp.expanded(n_scen)
-        darr = scenarios.discretized(dkp.time_step, dkp.charge_unit)
-        e_cur, e_ct, e_ticks = darr.cur, darr.cur_times, darr.ticks
-        currents = scenarios.currents
-        n_epochs = scenarios.n_epochs
-        time_step = dkp.time_step
-        charge_unit = dkp.charge_unit
-        cp = dp.c_permille
-        q = 1000 - cp
-        tables = dp.tables
-        table_id = dp.table_id
-        BIG = DISCRETE_UNREACHABLE
-
-        # Battery lane state (all integers; empty lanes are frozen).
-        n = dp.total_units.copy()
-        m = np.zeros((n_scen, n_bat), dtype=np.int64)
-        recov = np.zeros((n_scen, n_bat), dtype=np.int64)
-        empty = np.zeros((n_scen, n_bat), dtype=bool)
-
-        # Scenario control state.
-        epoch_idx = np.full(n_scen, -1, dtype=np.int64)
-        remaining = np.zeros(n_scen, dtype=np.int64)  # ticks left in epoch
-        cur_s = np.zeros(n_scen, dtype=np.int64)
-        ct_s = np.ones(n_scen, dtype=np.int64)
-        serving = np.full(n_scen, -1, dtype=np.int64)
-        # Draw accumulator: value, owning battery and the (cur, cur_times)
-        # rate it was built under (the scalar ``disch_rate`` tag).
-        acc = np.zeros(n_scen, dtype=np.int64)
-        acc_b = np.full(n_scen, -1, dtype=np.int64)
-        acc_cur = np.zeros(n_scen, dtype=np.int64)
-        acc_ct = np.ones(n_scen, dtype=np.int64)
-        time_t = np.zeros(n_scen, dtype=np.int64)
-        job_index = np.full(n_scen, -1, dtype=np.int64)
-        prev_choice = np.full(n_scen, -1, dtype=np.int64)
-        decisions = np.zeros(n_scen, dtype=np.int64)
-        lifetime_t = np.full(n_scen, -1, dtype=np.int64)
-        switchover = np.zeros(n_scen, dtype=bool)
-        need_decide = np.zeros(n_scen, dtype=bool)
-        active = np.ones(n_scen, dtype=bool)
-
-        policy.reset(n_scen, n_bat)
-
-        act = np.flatnonzero(active)
-        while act.size:
-            # ---- advance scenarios whose epoch is out of ticks.  Entering
-            # a job epoch with at least one tick schedules a decision; a
-            # zero-tick job epoch is skipped without one (the scalar
-            # ``while remaining > eps`` never runs), and entering an idle
-            # epoch resets the draw accumulator (the first idle tick would).
-            while True:
-                adv = act[remaining[act] == 0]
-                if adv.size == 0:
-                    break
-                epoch_idx[adv] += 1
-                exhausted = epoch_idx[adv] >= n_epochs[adv]
-                done = adv[exhausted]
-                active[done] = False  # survived the whole load
-                live = adv[~exhausted]
-                if live.size:
-                    e = epoch_idx[live]
-                    remaining[live] = e_ticks[live, e]
-                    cur_s[live] = e_cur[live, e]
-                    ct_s[live] = e_ct[live, e]
-                    serving[live] = -1
-                    switchover[live] = False
-                    is_job = cur_s[live] > 0
-                    job_index[live[is_job]] += 1
-                    started = remaining[live] > 0
-                    need_decide[live] = is_job & started
-                    idle_started = live[(~is_job) & started]
-                    if idle_started.size:
-                        acc[idle_started] = 0
-                        acc_b[idle_started] = -1
-                        acc_cur[idle_started] = 0
-                        acc_ct[idle_started] = 1
-                if done.size:
-                    act = act[active[act]]
-            if act.size == 0:
-                break
-
-            # ---- scheduling decisions (job-epoch entry or switchover).
-            dec = act[need_decide[act]]
-            if dec.size:
-                crit = q[dec] * m[dec] >= cp[dec] * n[dec]
-                alive = ~empty[dec] & ~crit
-                any_alive = np.any(alive, axis=1)
-                dead = dec[~any_alive]
-                if dead.size:
-                    # A job arrived and no battery can serve it: the system
-                    # died the moment the previous span ended.
-                    lifetime_t[dead] = time_t[dead]
-                    active[dead] = False
-                    need_decide[dead] = False
-                    act = act[active[act]]
-                deciding = dec[any_alive]
-                if deciding.size:
-                    rows = np.flatnonzero(any_alive)
-                    # The scalar battery view computes
-                    # ``max(0, c * (n * Gamma - (1 - c) * (m * Delta)))``
-                    # in exactly this operation order.
-                    gamma = n[deciding] * charge_unit
-                    delta = m[deciding] * dp.height_unit[deciding]
-                    c_dec = dp.c[deciding]
-                    context = BatchDecisionContext(
-                        lanes=deciding,
-                        available_charge=np.maximum(
-                            0.0, c_dec * (gamma - (1.0 - c_dec) * delta)
-                        ),
-                        alive=alive[rows],
-                        current=currents[deciding, epoch_idx[deciding]],
-                        time=time_t[deciding] * time_step,
-                        job_index=job_index[deciding],
-                        is_switchover=switchover[deciding],
-                        previous_choice=prev_choice[deciding],
-                    )
-                    choice = np.asarray(policy.choose(context), dtype=np.int64)
-                    if choice.shape != (deciding.size,):
-                        raise ValueError(
-                            f"policy {policy.name!r} returned shape "
-                            f"{choice.shape}, expected ({deciding.size},)"
-                        )
-                    if np.any((choice < 0) | (choice >= n_bat)):
-                        raise ValueError(
-                            f"policy {policy.name!r} chose a battery that does not exist"
-                        )
-                    if not np.all(alive[rows, choice]):
-                        raise ValueError(
-                            f"policy {policy.name!r} chose a battery that is already empty"
-                        )
-                    decisions[deciding] += 1
-                    serving[deciding] = choice
-                    prev_choice[deciding] = choice
-                    # The accumulator persists only when the same battery
-                    # keeps serving at the same rate with no idle tick in
-                    # between; any other transition restarts it (scalar
-                    # ``disch_rate`` reset rule).
-                    stale = (
-                        (acc_b[deciding] != choice)
-                        | (acc_cur[deciding] != cur_s[deciding])
-                        | (acc_ct[deciding] != ct_s[deciding])
-                    )
-                    acc[deciding[stale]] = 0
-                    acc_b[deciding] = choice
-                    acc_cur[deciding] = cur_s[deciding]
-                    acc_ct[deciding] = ct_s[deciding]
-                    need_decide[deciding] = False
-            if act.size == 0:
-                break
-
-            # ---- jump every scenario to one tick before its next event.
-            recov_act = recov[act]
-            m_act = m[act]
-            live_rec = ~empty[act] & (m_act > 1)
-            steps = tables[table_id[act], m_act]
-            # A draw can raise m into a *shorter* equation-(6) step than the
-            # ticks already accumulated; the scalar counter then fires on
-            # the very next tick, so the distance is clamped at one.
-            dt_rec = np.where(
-                live_rec, np.maximum(steps - recov_act, 1), BIG
-            ).min(axis=1)
-            srv = serving[act]
-            is_srv = srv >= 0
-            cta = ct_s[act]
-            cura = cur_s[act]
-            acc_act = acc[act]
-            dt_draw = np.where(
-                is_srv, -((acc_act - cta) // np.maximum(cura, 1)), BIG
-            )
-            k = np.minimum(np.minimum(remaining[act], dt_rec), dt_draw)
-
-            # ---- advance k ticks at once: the k-1 quiet ticks move every
-            # counter linearly, and the k-th tick is the event tick with the
-            # scalar tick's exact semantics.  Recovery first: every live
-            # lane above one height unit counts k ticks, and a lane
-            # reaching its equation-(6) step drops one unit (by the choice
-            # of k this can only happen on the event tick itself).
-            inc = recov_act + np.where(live_rec, k[:, None], 0)
-            rec_hit = live_rec & (inc >= steps)
-            m[act] = m_act - rec_hit
-            recov[act] = np.where(rec_hit, 0, inc)
-            acc_act = acc_act + np.where(is_srv, k * cura, 0)
-            acc[act] = acc_act
-            time_t[act] += k
-            remaining[act] -= k
-
-            # Discharge: the serving lane's accumulator gains ``cur`` per
-            # tick; each time it reaches ``cur_times`` one unit moves from
-            # n to m, with the per-mille emptiness criterion checked per
-            # drawn unit.  Draws are events, so they land on the event tick.
-            sv = act[is_srv]
-            served_empty = np.zeros(sv.size, dtype=bool)
-            if sv.size:
-                bb = serving[sv]
-                todo = np.flatnonzero(acc_act[is_srv] >= cta[is_srv])
-                while todo.size:
-                    lanes = sv[todo]
-                    bsel = bb[todo]
-                    nn = n[lanes, bsel]
-                    mm = m[lanes, bsel]
-                    crit_now = q[lanes, bsel] * mm >= cp[lanes, bsel] * nn
-                    if crit_now.any():
-                        # Already empty at the draw instant (defensive, like
-                        # the scalar tick): observe, draw nothing further.
-                        empty[lanes[crit_now], bsel[crit_now]] = True
-                        served_empty[todo[crit_now]] = True
-                    drew = ~crit_now
-                    dl = lanes[drew]
-                    if dl.size == 0:
-                        break
-                    db = bsel[drew]
-                    n[dl, db] = nn[drew] - 1
-                    m[dl, db] = mm[drew] + 1
-                    acc[dl] -= ct_s[dl]
-                    crit_after = q[dl, db] * m[dl, db] >= cp[dl, db] * n[dl, db]
-                    if crit_after.any():
-                        empty[dl[crit_after], db[crit_after]] = True
-                        served_empty[todo[drew][crit_after]] = True
-                    again = todo[drew][~crit_after]
-                    todo = again[acc[sv[again]] >= ct_s[sv[again]]]
-
-            # ---- post-tick: serving batteries observed empty this tick.
-            if served_empty.any():
-                hit = sv[served_empty]
-                crit_all = q[hit] * m[hit] >= cp[hit] * n[hit]
-                alive_after = ~empty[hit] & ~crit_all
-                died = ~np.any(alive_after, axis=1)
-                dead = hit[died]
-                serving[hit] = -1
-                if dead.size:
-                    lifetime_t[dead] = time_t[dead]
-                    active[dead] = False
-                surv = hit[~died]
-                if surv.size:
-                    # Mid-job handover (Section 4.3): decide again before
-                    # the next tick if the job has ticks left.
-                    cont = surv[remaining[surv] > 0]
-                    need_decide[cont] = True
-                    switchover[cont] = True
-                if dead.size:
-                    act = act[active[act]]
-
-        gamma = n * charge_unit
-        delta = m * dp.height_unit
-        survived = lifetime_t < 0
-        lifetimes = np.where(survived, np.nan, lifetime_t * time_step)
-        return BatchResult(
-            policy_name=policy.name,
-            lifetimes=lifetimes,
-            decisions=decisions,
-            residual_charge=np.sum(gamma, axis=1),
-            final_states=np.stack([gamma, delta], axis=-1),
-            lifetime_ticks=lifetime_t,
-            charge_units=np.stack([n, m], axis=-1),
+            policy_name=policy.name, decisions=decisions, **lanes.fields(lifetime)
         )
 
     # ------------------------------------------------------------------ #

@@ -20,8 +20,11 @@ by :class:`DiscreteKernelParams`: integer charge/height-unit counts, the
 per-mille emptiness coefficients and the precomputed equation-(6) recovery
 tables, one row per distinct battery parameter set, in either the shared
 ``(n_batteries,)`` or the per-scenario ``(n_scenarios, n_batteries)`` layout
-of :class:`KernelParams`.  Here the parity bar is *exact*: the batch state
-is integer charge units stepped by the same Bresenham draw accumulator as
+of :class:`KernelParams`.  :func:`discrete_segment_array` is the one
+vectorized dKiBaM advance, and :func:`serve_and_rest_array` the one
+between-decision step built on it (serve the chosen battery, rest the
+others), used by both the batch simulator and the batched search.  Here the parity bar is *exact*: its lanes are integer charge units
+stepped by the same Bresenham draw accumulator as
 :class:`repro.kibam.discrete.DiscreteKibam`, so batch and scalar dKiBaM
 agree unit for unit and tick for tick, not merely to a float tolerance.
 """
@@ -48,6 +51,10 @@ _ROOT_TOL = 1e-12
 #: Hard iteration cap for the safeguarded Newton solve (bisection steps are
 #: taken whenever Newton leaves the bracket, so 80 halvings always suffice).
 _ROOT_MAX_ITER = 80
+
+#: Battery models with array kernels: the batch simulator and the batched
+#: search advance these; any other model runs on the scalar reference.
+VECTOR_MODELS = ("analytical", "discrete")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -504,3 +511,179 @@ def time_to_empty_array(
     crossing[out] = t
     crossed[out] = True
     return crossing, crossed
+
+
+#: Counter rows of a dKiBaM lane state, in :func:`discrete_segment_array`'s
+#: argument (and return) order: available and height units, recovery tick
+#: counter, draw accumulator, and the ``(cur, cur_times)`` rate the
+#: accumulator was built under.
+N_ROW, M_ROW, REC_ROW, ACC_ROW, RCUR_ROW, RCT_ROW = range(6)
+
+
+def discrete_segment_array(
+    tables: np.ndarray,
+    table_row: np.ndarray,
+    c_permille: np.ndarray,
+    n: np.ndarray,
+    m: np.ndarray,
+    recov: np.ndarray,
+    acc: np.ndarray,
+    rate_cur: np.ndarray,
+    rate_ct: np.ndarray,
+    cur: np.ndarray,
+    cur_times: np.ndarray,
+    ticks: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Run one constant-current dKiBaM segment on a flat batch of lanes.
+
+    This is the lane-parallel, event-jumping form of
+    :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`: every lane is
+    one independent battery advancing ``ticks[i]`` ticks at the integer
+    discharge rate ``cur[i]`` units per ``cur_times[i]`` ticks (``cur == 0``
+    idles).
+    Between draw and equation-(6) recovery events every counter moves
+    linearly, so each loop iteration jumps each lane to its own next event
+    and replays that single tick with the exact scalar semantics: recovery
+    before discharge, the Bresenham accumulator (restarted by the first
+    idle tick or by a rate change, the scalar ``disch_rate`` rule), and
+    the per-mille emptiness criterion checked per drawn unit.
+
+    All state arguments are 1-D ``int64`` arrays of a common length and are
+    not modified; returns the updated ``(n, m, recov, acc, rate_cur,
+    rate_ct)`` plus ``empty_tick`` -- the 1-based tick at which a lane was
+    observed empty, or ``-1`` (idle lanes and survivors).  Lanes observed
+    empty stop advancing at that tick, exactly like the scalar segment.
+    """
+    q = 1000 - c_permille
+    n = n.copy()
+    m = m.copy()
+    recov = recov.copy()
+    acc = acc.copy()
+    rate_cur = rate_cur.copy()
+    rate_ct = rate_ct.copy()
+    left = np.asarray(ticks, dtype=np.int64).copy()
+    elapsed = np.zeros(n.shape[0], dtype=np.int64)
+    empty_tick = np.full(n.shape[0], -1, dtype=np.int64)
+
+    started = left > 0
+    serving = (cur > 0) & started
+    idle = (cur == 0) & started
+    # The first idle tick resets the draw accumulator; the first serving
+    # tick restarts it when the rate changed (scalar ``disch_rate`` rule).
+    acc[idle] = 0
+    rate_cur[idle] = 0
+    rate_ct[idle] = 1
+    stale = serving & ((rate_cur != cur) | (rate_ct != cur_times))
+    acc[stale] = 0
+    rate_cur[serving] = cur[serving]
+    rate_ct[serving] = cur_times[serving]
+
+    active = started.copy()
+    while np.any(active):
+        a = np.flatnonzero(active)
+        m_a = m[a]
+        rec_a = recov[a]
+        live_rec = m_a > 1
+        steps = tables[table_row[a], m_a]
+        # A draw can raise m into a *shorter* recovery step than the ticks
+        # already accumulated; the counter then fires on the very next tick.
+        never = DISCRETE_UNREACHABLE
+        dt_rec = np.where(live_rec, np.maximum(steps - rec_a, 1), never)
+        srv = serving[a]
+        dt_draw = np.where(
+            srv, -((acc[a] - cur_times[a]) // np.maximum(cur[a], 1)), never
+        )
+        k = np.minimum(np.minimum(left[a], dt_rec), dt_draw)
+
+        # k-1 quiet ticks plus one event tick: recovery counters first.
+        inc = rec_a + np.where(live_rec, k, 0)
+        fire = live_rec & (inc >= steps)
+        m[a] = m_a - fire
+        recov[a] = np.where(fire, 0, inc)
+        acc[a] += np.where(srv, k * cur[a], 0)
+        elapsed[a] += k
+        left[a] -= k
+
+        # Draw events: one unit per accumulator threshold, emptiness per
+        # drawn unit (and at the draw instant, the scalar's defensive check).
+        sl = a[srv]
+        if sl.size:
+            todo = sl[acc[sl] >= cur_times[sl]]
+            while todo.size:
+                crit_now = q[todo] * m[todo] >= c_permille[todo] * n[todo]
+                if crit_now.any():
+                    hit = todo[crit_now]
+                    empty_tick[hit] = elapsed[hit]
+                    active[hit] = False
+                drew = todo[~crit_now]
+                if drew.size == 0:
+                    break
+                n[drew] -= 1
+                m[drew] += 1
+                acc[drew] -= cur_times[drew]
+                crit_after = q[drew] * m[drew] >= c_permille[drew] * n[drew]
+                if crit_after.any():
+                    hit = drew[crit_after]
+                    empty_tick[hit] = elapsed[hit]
+                    active[hit] = False
+                again = drew[~crit_after]
+                todo = again[acc[again] >= cur_times[again]]
+        active &= (left > 0) & (empty_tick < 0)
+    return n, m, recov, acc, rate_cur, rate_ct, empty_tick
+
+
+def serve_and_rest_array(
+    tables: np.ndarray,
+    table_row: np.ndarray,
+    c_permille: np.ndarray,
+    state: np.ndarray,
+    rows: np.ndarray,
+    rest: np.ndarray,
+    ticks: np.ndarray,
+    choice: "np.ndarray | None" = None,
+    cur: "np.ndarray | None" = None,
+    cur_times: "np.ndarray | None" = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Serve one battery of each row for one span and rest the others.
+
+    ``state`` holds ``(N, 6, B)`` dKiBaM counters (rows :data:`N_ROW` ..
+    :data:`RCT_ROW`), updated in place on ``rows``; ``table_row`` and
+    ``c_permille`` are per battery ``(B,)`` or per state row ``(N, B)``.
+    Row ``rows[i]`` serves battery ``choice[i]`` at ``cur[i]`` units per
+    ``cur_times[i]`` ticks for up to ``ticks[i]`` ticks, stopping at its
+    empty tick, then rests the other ``rest[i]`` batteries for that span
+    (without ``choice``, ``rest`` rests ``ticks``).  Every battery is one
+    :func:`discrete_segment_array` lane.  Returns ``(crossed, span)``.
+    """
+    table_row = np.broadcast_to(table_row, (state.shape[0], state.shape[2]))
+    c_permille = np.broadcast_to(c_permille, table_row.shape)
+
+    def segment(lane, battery, seg_cur, seg_cur_times, seg_ticks):
+        sub = rows[lane]
+        *counters, empty_tick = discrete_segment_array(
+            tables,
+            table_row[sub, battery],
+            c_permille[sub, battery],
+            *state[sub, :, battery].T,
+            seg_cur,
+            seg_cur_times,
+            seg_ticks,
+        )
+        state[sub, :, battery] = np.stack(counters, axis=1)
+        return empty_tick
+
+    if choice is None:
+        crossed = np.zeros(rows.size, dtype=bool)
+        span = ticks
+    else:
+        every = np.arange(rows.size)
+        empty_tick = segment(every, choice, cur, cur_times, ticks)
+        crossed = empty_tick >= 0
+        span = np.where(crossed, empty_tick, ticks)
+        rest = rest.copy()
+        rest[every, choice] = False
+    lane, battery = np.nonzero(rest)
+    if lane.size:
+        idle = np.zeros(lane.size, dtype=np.int64)
+        segment(lane, battery, idle, idle + 1, span[lane])
+    return crossed, span

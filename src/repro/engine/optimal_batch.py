@@ -20,8 +20,9 @@ The search is one driver over two node kernels:
   with the closed-form ``(n_nodes, n_batteries, 2)`` kernels of
   :mod:`repro.engine.kernels`, in minutes; :class:`_DiscreteNodes` keeps
   ``(6, B)`` int64 dKiBaM counters and advances them with the exact
-  event-jumping :func:`discrete_segment_array` (the lane-parallel form of
-  :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`), in ticks.
+  event-jumping :func:`repro.engine.kernels.discrete_segment_array` (the
+  lane-parallel form of :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`,
+  shared with the batch simulator), in ticks.
 
 What the driver adds on top of the kernels:
 
@@ -78,6 +79,7 @@ final battery states are golden-reference values either way.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import List, Optional, Sequence, Tuple
@@ -97,10 +99,16 @@ from repro.core.policies import FixedAssignmentPolicy, make_policy
 from repro.core.simulator import MultiBatterySimulator
 from repro.engine.batch import resolve_model
 from repro.engine.kernels import (
+    ACC_ROW,
     DELTA,
-    DISCRETE_UNREACHABLE,
     GAMMA,
+    M_ROW,
+    N_ROW,
+    RCT_ROW,
+    REC_ROW,
+    VECTOR_MODELS,
     KernelParams,
+    serve_and_rest_array,
     step_constant_current_array,
     time_to_empty_array,
 )
@@ -129,14 +137,8 @@ _LB_PROBE_PERIOD = 16
 _CERTIFIED_ARCHIVE_LIMIT = 64
 _TOLERANT_ARCHIVE_LIMIT = 1024
 
-#: Battery models the batched search can advance; anything else must use
-#: the scalar :class:`repro.core.optimal.OptimalScheduler`.
-BATCH_OPTIMAL_MODELS = ("analytical", "discrete")
-
 #: Same dominance-comparison slack as the scalar archive.
 _DOMINANCE_EPSILON = 1e-9
-
-_BIG = DISCRETE_UNREACHABLE
 
 
 def _group_representatives(
@@ -313,120 +315,6 @@ class VectorDominanceArchive:
 
 
 # --------------------------------------------------------------------- #
-# exact vectorized dKiBaM segment
-# --------------------------------------------------------------------- #
-def discrete_segment_array(
-    tables: np.ndarray,
-    table_row: np.ndarray,
-    c_permille: np.ndarray,
-    n: np.ndarray,
-    m: np.ndarray,
-    recov: np.ndarray,
-    acc: np.ndarray,
-    rate_cur: np.ndarray,
-    rate_ct: np.ndarray,
-    cur: np.ndarray,
-    cur_times: np.ndarray,
-    ticks: np.ndarray,
-) -> Tuple[np.ndarray, ...]:
-    """Run one constant-current dKiBaM segment on a flat batch of lanes.
-
-    This is the lane-parallel, event-jumping form of
-    :meth:`repro.kibam.discrete.DiscreteKibam.run_segment`: every lane is
-    one *independent* battery (unlike the batch simulator's scenario-coupled
-    loop) advancing ``ticks[i]`` ticks at the integer discharge rate
-    ``cur[i]`` units per ``cur_times[i]`` ticks (``cur == 0`` idles).
-    Between draw and equation-(6) recovery events every counter moves
-    linearly, so each loop iteration jumps each lane to its own next event
-    and replays that single tick with the exact scalar semantics: recovery
-    before discharge, the Bresenham accumulator (restarted by the first
-    idle tick or by a rate change, the scalar ``disch_rate`` rule), and
-    the per-mille emptiness criterion checked per drawn unit.
-
-    All state arguments are 1-D ``int64`` arrays of a common length and are
-    not modified; returns the updated ``(n, m, recov, acc, rate_cur,
-    rate_ct)`` plus ``empty_tick`` -- the 1-based tick at which a lane was
-    observed empty, or ``-1`` (idle lanes and survivors).  Lanes observed
-    empty stop advancing at that tick, exactly like the scalar segment.
-    """
-    q = 1000 - c_permille
-    n = n.copy()
-    m = m.copy()
-    recov = recov.copy()
-    acc = acc.copy()
-    rate_cur = rate_cur.copy()
-    rate_ct = rate_ct.copy()
-    left = np.asarray(ticks, dtype=np.int64).copy()
-    elapsed = np.zeros(n.shape[0], dtype=np.int64)
-    empty_tick = np.full(n.shape[0], -1, dtype=np.int64)
-
-    started = left > 0
-    serving = (cur > 0) & started
-    idle = (cur == 0) & started
-    # The first idle tick resets the draw accumulator; the first serving
-    # tick restarts it when the rate changed (scalar ``disch_rate`` rule).
-    acc[idle] = 0
-    rate_cur[idle] = 0
-    rate_ct[idle] = 1
-    stale = serving & ((rate_cur != cur) | (rate_ct != cur_times))
-    acc[stale] = 0
-    rate_cur[serving] = cur[serving]
-    rate_ct[serving] = cur_times[serving]
-
-    active = started.copy()
-    while np.any(active):
-        a = np.flatnonzero(active)
-        m_a = m[a]
-        rec_a = recov[a]
-        live_rec = m_a > 1
-        steps = tables[table_row[a], m_a]
-        # A draw can raise m into a *shorter* recovery step than the ticks
-        # already accumulated; the counter then fires on the very next tick.
-        dt_rec = np.where(live_rec, np.maximum(steps - rec_a, 1), _BIG)
-        srv = serving[a]
-        dt_draw = np.where(
-            srv, -((acc[a] - cur_times[a]) // np.maximum(cur[a], 1)), _BIG
-        )
-        k = np.minimum(np.minimum(left[a], dt_rec), dt_draw)
-
-        # k-1 quiet ticks plus one event tick: recovery counters first.
-        inc = rec_a + np.where(live_rec, k, 0)
-        fire = live_rec & (inc >= steps)
-        m[a] = m_a - fire
-        recov[a] = np.where(fire, 0, inc)
-        acc[a] += np.where(srv, k * cur[a], 0)
-        elapsed[a] += k
-        left[a] -= k
-
-        # Draw events: one unit per accumulator threshold, emptiness per
-        # drawn unit (and at the draw instant, the scalar's defensive check).
-        sl = a[srv]
-        if sl.size:
-            todo = sl[acc[sl] >= cur_times[sl]]
-            while todo.size:
-                crit_now = q[todo] * m[todo] >= c_permille[todo] * n[todo]
-                if crit_now.any():
-                    hit = todo[crit_now]
-                    empty_tick[hit] = elapsed[hit]
-                    active[hit] = False
-                drew = todo[~crit_now]
-                if drew.size == 0:
-                    break
-                n[drew] -= 1
-                m[drew] += 1
-                acc[drew] -= cur_times[drew]
-                crit_after = q[drew] * m[drew] >= c_permille[drew] * n[drew]
-                if crit_after.any():
-                    hit = drew[crit_after]
-                    empty_tick[hit] = elapsed[hit]
-                    active[hit] = False
-                again = drew[~crit_after]
-                todo = again[acc[again] >= cur_times[again]]
-        active &= (left > 0) & (empty_tick < 0)
-    return n, m, recov, acc, rate_cur, rate_ct, empty_tick
-
-
-# --------------------------------------------------------------------- #
 # frontier storage: structure-of-arrays pools
 # --------------------------------------------------------------------- #
 #: Initial row capacity of the frontier pools; grown by doubling.
@@ -518,10 +406,6 @@ class DecisionTrace:
             choices.append(int(self.choice[node]))
             node = int(self.parent[node])
         return tuple(reversed(choices))
-
-
-#: Row indices into the discrete backend's ``units`` column.
-_N_ROW, _M_ROW, _REC_ROW, _ACC_ROW, _RCUR_ROW, _RCT_ROW = range(6)
 
 
 def _pooling_parameters(
@@ -872,10 +756,10 @@ class _AnalyticalNodes:
 class _DiscreteNodes:
     """dKiBaM node states: ``(6, B)`` int64 counters, time in ticks.
 
-    Rows ``_N_ROW`` .. ``_RCT_ROW`` hold each battery's available and
+    Rows ``N_ROW`` .. ``RCT_ROW`` hold each battery's available and
     height units, recovery counter, draw accumulator and last discharge
-    rate; every advance is an exact integer event jump
-    (:func:`discrete_segment_array`), written back lane by lane.  See
+    rate; every advance is an exact integer event jump of
+    :func:`serve_and_rest_array`, shared with the batch simulator.  See
     :class:`_AnalyticalNodes` for the kernel interface.
     """
 
@@ -907,6 +791,9 @@ class _DiscreteNodes:
         self.trow = dp.table_id
         self.c = dp.c
         self.height_unit = dp.height_unit
+        self._step = functools.partial(
+            serve_and_rest_array, self.tables, self.trow, self.cp
+        )
         specs = [
             discharge_spec_for(e.current, time_step, charge_unit) for e in load.epochs
         ]
@@ -919,18 +806,18 @@ class _DiscreteNodes:
 
     def root_state(self) -> np.ndarray:
         state = np.zeros((1, 6, self.n_batteries), dtype=np.int64)
-        state[:, _N_ROW] = self.total_units
-        state[:, _RCT_ROW] = 1
+        state[:, N_ROW] = self.total_units
+        state[:, RCT_ROW] = 1
         return state
 
     def charge(self, state: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return (
-            state[:, _N_ROW, :] * self.charge_unit,
-            state[:, _M_ROW, :] * self.height_unit,
+            state[:, N_ROW, :] * self.charge_unit,
+            state[:, M_ROW, :] * self.height_unit,
         )
 
     def alive(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
-        crit = self.q * state[:, _M_ROW, :] >= self.cp * state[:, _N_ROW, :]
+        crit = self.q * state[:, M_ROW, :] >= self.cp * state[:, N_ROW, :]
         return (~dead) & (~crit)
 
     def serve(self, state, dead, rows, choice, epoch, remaining):
@@ -938,59 +825,28 @@ class _DiscreteNodes:
 
         Updates ``state[rows]`` in place and returns ``(crossed, span)``.
         """
-        lanes, empty_tick = self._segment(
-            state[rows, :, choice],
+        return self._step(
+            state,
+            rows,
+            ~dead[rows],
+            remaining,
             choice,
             self.e_cur[epoch],
             self.e_ct[epoch],
-            remaining,
         )
-        crossed = empty_tick >= 0
-        span = np.where(crossed, empty_tick, remaining)
-        state[rows, :, choice] = lanes
-        others = ~dead[rows]
-        others[np.arange(rows.size), choice] = False
-        self._idle_lanes(state, rows, others, span)
-        return crossed, span
 
     def idle(self, state, dead, rows, span) -> None:
         """Rest every battery of ``state[rows]`` for ``span`` ticks, in place."""
-        self._idle_lanes(state, rows, ~dead[rows], span)
-
-    def _idle_lanes(self, state, rows, lanes, span) -> None:
-        """Rest the ``lanes`` mask of ``state[rows]``, one segment lane each."""
-        node, battery = np.nonzero(lanes)
-        if node.size:
-            sub = rows[node]
-            state[sub, :, battery], _ = self._segment(
-                state[sub, :, battery],
-                battery,
-                np.zeros(node.size, dtype=np.int64),
-                np.ones(node.size, dtype=np.int64),
-                span[node],
-            )
-
-    def _segment(self, lanes, battery, cur, cur_times, ticks):
-        """Run ``(L, 6)`` counter lanes of ``battery`` through one segment."""
-        *counters, empty_tick = discrete_segment_array(
-            self.tables,
-            self.trow[battery],
-            self.cp[battery],
-            *lanes.T,
-            cur,
-            cur_times,
-            ticks,
-        )
-        return np.stack(counters, axis=1), empty_tick
+        self._step(state, rows, ~dead[rows], span)
 
     def matrices(self, state: np.ndarray, dead: np.ndarray) -> np.ndarray:
         """The scalar search's dominance matrices, one ``(B, 5)`` per node."""
         mat = np.empty((state.shape[0], self.n_batteries, 5))
         mat[:, :, 0] = 1.0
-        mat[:, :, 1] = state[:, _N_ROW, :]
-        mat[:, :, 2] = -state[:, _M_ROW, :]
-        mat[:, :, 3] = -state[:, _ACC_ROW, :]
-        mat[:, :, 4] = state[:, _REC_ROW, :]
+        mat[:, :, 1] = state[:, N_ROW, :]
+        mat[:, :, 2] = -state[:, M_ROW, :]
+        mat[:, :, 3] = -state[:, ACC_ROW, :]
+        mat[:, :, 4] = state[:, REC_ROW, :]
         empty_row = np.full(5, -np.inf)
         empty_row[0] = 0.0
         return np.where(dead[:, :, None], empty_row, mat)
@@ -1335,9 +1191,9 @@ class BatchOptimalScheduler:
             raise ValueError("dominance_tolerance must be non-negative")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if model not in BATCH_OPTIMAL_MODELS:
+        if model not in VECTOR_MODELS:
             raise ValueError(
-                f"the batched search supports models {BATCH_OPTIMAL_MODELS}, "
+                f"the batched search supports models {VECTOR_MODELS}, "
                 f"got {model!r}; use repro.core.optimal.OptimalScheduler for "
                 "other battery models"
             )
@@ -1649,7 +1505,7 @@ def find_optimal_schedule_batched(
     :class:`BatchOptimalScheduler`.
     """
     resolved = resolve_model(model, backend)
-    if resolved not in BATCH_OPTIMAL_MODELS:
+    if resolved not in VECTOR_MODELS:
         scheduler = OptimalScheduler(
             make_battery_models(
                 params,

@@ -5,14 +5,14 @@ A :class:`ScenarioSet` is the unit of work of the batch engine: a tuple of
 scenario epoch currents and durations padded to a common length, which is
 what lets :class:`repro.engine.batch.BatchSimulator` advance every scenario
 with the same NumPy indexing.  The object form is kept alongside the arrays
-so scalar fallbacks (non-vectorizable policies, the discrete backend, the
-optimal scheduler) can run on exactly the same loads.
+so scalar fallbacks (non-vectorizable policies or models, the optimal
+scheduler) can run on exactly the same loads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class ScenarioSet:
     def __len__(self) -> int:
         return self.n_scenarios
 
-    def subset(self, indices: Sequence[int]) -> "ScenarioSet":
-        """A scenario set containing only the given scenario rows."""
-        return ScenarioSet.from_loads([self.loads[i] for i in indices])
-
     def tiled(self, times: int) -> "ScenarioSet":
         """The scenario set repeated ``times`` times, lanes concatenated.
 
@@ -165,16 +161,3 @@ class ScenarioSet:
             cur_times=ct_map[cur_inverse].reshape(shape),
             ticks=tick_map[dur_inverse].reshape(shape),
         )
-
-    def chunked(self, chunk_size: int) -> Iterator["ScenarioSet"]:
-        """Split into consecutive chunks of at most ``chunk_size`` scenarios.
-
-        A convenience for sharding one large sweep into smaller batches --
-        e.g. to bound peak memory or to spread a sweep over several
-        sessions.  Declarative sweeps chunk through
-        :attr:`repro.sweep.spec.SweepSpec.chunk_size` instead.
-        """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        for start in range(0, self.n_scenarios, chunk_size):
-            yield ScenarioSet.from_loads(self.loads[start : start + chunk_size])

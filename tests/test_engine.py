@@ -166,19 +166,6 @@ class TestScenarioSet:
         assert np.array_equal(tiled.currents[2], scen.currents[0])
         assert tiled.loads[4].epochs == scen.loads[0].epochs
 
-    def test_chunked_partitions_in_order(self):
-        scen = ScenarioSet.random(5, FAST_CONFIG, seed=2)
-        chunks = list(scen.chunked(2))
-        assert [c.n_scenarios for c in chunks] == [2, 2, 1]
-        assert chunks[2].loads[0].epochs == scen.loads[4].epochs
-
-    def test_subset(self):
-        scen = ScenarioSet.random(4, FAST_CONFIG, seed=3)
-        sub = scen.subset([2, 0])
-        assert sub.n_scenarios == 2
-        assert sub.loads[0].epochs == scen.loads[2].epochs
-        assert sub.loads[1].epochs == scen.loads[0].epochs
-
 
 class TestScalarBatchEquivalence:
     @pytest.mark.parametrize("policy", ALL_POLICIES)
@@ -580,6 +567,47 @@ class TestDiscreteBatch:
             assert np.array_equal(
                 stacked[policy].residual_charge, solo.residual_charge
             )
+
+    #: SHA-256 of the integer fields of the stacked golden runs below.
+    GOLDEN_DIGESTS = {
+        "shared": "633b57ff597ea7163141eda1b031b0fc29c71fdaca9920c8acdcdd53d8271c2c",
+        "rows": "248de3538308482eabdc975d4a34479eefeaf65595fb38a8b208cd75277af33b",
+    }
+
+    @pytest.mark.parametrize("layout", ("shared", "rows"))
+    def test_golden_stacked_run_many(self, layout):
+        """Pins a 200-load x 3-policy stacked run bit for bit.
+
+        Only integer fields are hashed (little-endian int64), so the digest
+        is portable across platforms and NumPy builds.
+        """
+        import hashlib
+
+        from repro.workloads.generator import ILS_LIKE_RANDOM_CONFIG
+
+        loads = [generate_random_load(seed, ILS_LIKE_RANDOM_CONFIG) for seed in range(200)]
+        if layout == "shared":
+            params = [B1, B1]
+        else:
+            params = [
+                (
+                    BatteryParameters(capacity=4.5 + 0.5 * (i % 5), c=0.166, k_prime=0.122),
+                    BatteryParameters(
+                        capacity=5.5, c=0.2 if i % 2 else 0.166, k_prime=0.15
+                    ),
+                )
+                for i in range(len(loads))
+            ]
+        policies = ("sequential", "round-robin", "best-of-two")
+        results = BatchSimulator(params, model="discrete").run_many(
+            ScenarioSet.from_loads(loads), policies
+        )
+        digest = hashlib.sha256()
+        for policy in policies:
+            result = results[policy]
+            for array in (result.lifetime_ticks, result.charge_units, result.decisions):
+                digest.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+        assert digest.hexdigest() == self.GOLDEN_DIGESTS[layout]
 
     def test_survivors_and_dead_lanes_coexist(self):
         dies = Load.from_segments("dies", [(0.5, 1000.0)])

@@ -43,10 +43,10 @@ from repro.engine.optimal_batch import (
     DecisionTrace,
     FrontierArrays,
     VectorDominanceArchive,
-    discrete_segment_array,
     find_optimal_schedule_batched,
     optimal_schedules_batch,
 )
+from repro.engine.kernels import discrete_segment_array
 from repro.kibam.discrete import DiscreteBatteryState, DiscreteKibam
 from repro.kibam.parameters import B1, BatteryParameters
 from repro.workloads.load import Epoch, Load
